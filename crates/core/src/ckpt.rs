@@ -47,7 +47,7 @@ use pgss_bbv::{BbvHash, FullBbv, FullBbvTracker, HashedBbv, HashedBbvTracker, HA
 use pgss_ckpt::{fnv1a64, CodecError, Decoder, Encoder, RecordError, Store};
 use pgss_cpu::{
     BranchPredictorState, BtbState, CacheState, MachineConfig, MachineSnapshot, MemSystemState,
-    Mode, ModeOps,
+    Mode, ModeOps, PagedImage, PAGE_WORDS,
 };
 use pgss_workloads::Workload;
 
@@ -63,7 +63,9 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// Encodes a machine snapshot. The memory image uses zero-run
 /// compression, so the encoded size tracks the workload's touched
-/// footprint rather than the configured memory size.
+/// footprint rather than the configured memory size. The image streams
+/// out page by page, shared zero pages without a scan; the bytes are
+/// those of the flat image, independent of the page layout.
 pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(SNAPSHOT_FORMAT_VERSION);
@@ -74,7 +76,11 @@ pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
     for &f in &snap.fregs {
         e.put_f64(f);
     }
-    e.put_i64_slice_rle(&snap.mem);
+    e.put_i64_pages_rle(
+        snap.mem.len(),
+        PAGE_WORDS,
+        snap.mem.pages().iter().map(|p| p.as_deref()),
+    );
     e.put_bool(snap.halted);
     put_mode_ops(&mut e, snap.mode_ops);
     e.put_u64(snap.ops_since_taken);
@@ -95,7 +101,8 @@ pub fn encode_machine_snapshot(snap: &MachineSnapshot) -> Vec<u8> {
 }
 
 /// Decodes bytes produced by [`encode_machine_snapshot`], rejecting
-/// other snapshot-format versions.
+/// other snapshot-format versions. The memory image decodes straight into
+/// pages; zero runs become the shared zero page.
 pub fn decode_machine_snapshot(bytes: &[u8]) -> Result<MachineSnapshot, CodecError> {
     let mut d = Decoder::new(bytes);
     let snap = decode_machine_snapshot_from(&mut d)?;
@@ -116,7 +123,8 @@ fn decode_machine_snapshot_from(d: &mut Decoder<'_>) -> Result<MachineSnapshot, 
     for f in &mut fregs {
         *f = d.get_f64()?;
     }
-    let mem = d.get_i64_slice_rle()?;
+    let (len, pages) = d.get_i64_pages_rle(PAGE_WORDS)?;
+    let mem = PagedImage::from_pages(len, pages);
     let halted = d.get_bool()?;
     let mode_ops = get_mode_ops(d)?;
     let ops_since_taken = d.get_u64()?;
@@ -346,12 +354,14 @@ impl LadderSpec {
     }
 }
 
-/// One rung: the workload's complete state at `retired`, held as encoded
-/// (zero-run-compressed) bytes plus cumulative-since-op-0 tracker counts.
+/// One rung: the workload's complete state at `retired`, held decoded —
+/// a jump is a page-granular [`pgss_cpu::Machine::restore`], never a
+/// decode — plus cumulative-since-op-0 tracker counts. Rungs are encoded
+/// only when written to a store.
 #[derive(Debug, Clone)]
 pub(crate) struct LadderRung {
     pub(crate) retired: u64,
-    pub(crate) machine: Vec<u8>,
+    pub(crate) machine: MachineSnapshot,
     pub(crate) hashed_cum: Vec<HashedBbv>,
     pub(crate) full_cum: Option<FullBbv>,
 }
@@ -453,7 +463,7 @@ impl CheckpointLadder {
             if r.ops == spec.stride {
                 rungs.push(LadderRung {
                     retired,
-                    machine: encode_machine_snapshot(&machine.snapshot()),
+                    machine: machine.snapshot(),
                     hashed_cum: sink.0.iter().map(|t| *t.current()).collect(),
                     full_cum: sink.1.as_ref().map(|t| t.current().clone()),
                 });
@@ -742,7 +752,7 @@ impl CheckpointLadder {
 fn encode_rung(rung: &LadderRung) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u64(rung.retired);
-    e.put_bytes(&rung.machine);
+    e.put_bytes(&encode_machine_snapshot(&rung.machine));
     e.put_u64(rung.hashed_cum.len() as u64);
     for h in &rung.hashed_cum {
         put_hashed_bbv(&mut e, h);
@@ -757,10 +767,10 @@ fn encode_rung(rung: &LadderRung) -> Vec<u8> {
 fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError> {
     let mut d = Decoder::new(bytes);
     let retired = d.get_u64()?;
-    let machine = d.get_bytes()?;
-    // Validate eagerly so a corrupted record surfaces here (tolerant
-    // fallback to capture) rather than as a panic at jump time.
-    decode_machine_snapshot(&machine)?;
+    // Decoding validates eagerly, so a corrupted record surfaces here
+    // (tolerant fallback to capture) rather than as a panic at jump time;
+    // the decoded snapshot is what jumps restore.
+    let machine = decode_machine_snapshot(&d.get_bytes()?)?;
     let n = d.get_u64()?;
     if n != spec.hashed_seeds.len() as u64 {
         return Err(CodecError::Malformed("ladder seed count mismatch"));
@@ -946,7 +956,29 @@ mod tests {
         let direct = m.snapshot();
         let rung = ladder.best_rung_in(0, 60_000).unwrap();
         assert_eq!(rung.retired, 60_000);
-        assert_eq!(decode_machine_snapshot(&rung.machine).unwrap(), direct);
+        assert_eq!(rung.machine, direct);
+    }
+
+    #[test]
+    fn jumping_into_a_fresh_machine_copies_only_nonzero_pages() {
+        let w = workload();
+        let cfg = MachineConfig::default();
+        let ladder = CheckpointLadder::capture(&w, &cfg, &LadderSpec::machine_only(30_000));
+        let rung = ladder.best_rung_in(0, 60_000).unwrap();
+        let nonzero = rung.machine.mem.nonzero_pages();
+        assert!(
+            nonzero > 0 && nonzero < rung.machine.mem.pages().len(),
+            "{nonzero} non-zero pages"
+        );
+        // The fresh machine's dirty pages are the ones its initial image
+        // wrote, all of which are still non-zero in the rung.
+        let mut m = w.machine_with(cfg);
+        assert_eq!(m.restore(&rung.machine), nonzero);
+        assert_eq!(m.snapshot(), rung.machine);
+        // A decoded rung restores the same pages.
+        let decoded = decode_machine_snapshot(&encode_machine_snapshot(&rung.machine)).unwrap();
+        assert_eq!(decoded.mem.nonzero_pages(), nonzero);
+        assert_eq!(w.machine_with(cfg).restore(&decoded), nonzero);
     }
 
     #[test]

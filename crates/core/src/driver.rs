@@ -48,7 +48,7 @@ use pgss_cpu::{Machine, MachineConfig, MachineFault, MachineSnapshot, Mode, Mode
 use pgss_obs::{Recorder, Span};
 use pgss_workloads::Workload;
 
-use crate::ckpt::{decode_machine_snapshot, CheckpointLadder};
+use crate::ckpt::CheckpointLadder;
 
 /// The `driver.ops.*` / `driver.segments.*` counter names for a mode.
 fn mode_metric_keys(mode: Mode) -> (&'static str, &'static str) {
@@ -404,9 +404,8 @@ impl SimDriver {
         }
     }
 
-    /// Builds a driver resuming from `snap` instead of from op 0: machine
-    /// state is restored, the position is `snap.retired`, and tracker
-    /// state is re-seeded from the snapshot.
+    /// Builds a driver resuming from `snap` instead of from op 0; see
+    /// [`SimDriver::restore_from`].
     ///
     /// # Panics
     ///
@@ -419,35 +418,55 @@ impl SimDriver {
         snap: &DriverSnapshot,
     ) -> SimDriver {
         let mut d = SimDriver::new(workload, config, track);
-        d.machine.restore(&snap.machine);
-        d.retired = snap.retired;
-        if let (Some(t), _, _) = &mut d.sink {
+        d.restore_from(snap);
+        d
+    }
+
+    /// Resumes this driver from `snap`: machine state is restored
+    /// (copying only the memory pages that differ, see
+    /// [`Machine::restore`]), the position becomes `snap.retired`, and
+    /// tracker state is re-seeded from the snapshot. Attachments and the
+    /// [`RunTrace`] are kept, so one driver can replay many checkpoints
+    /// and report one trace for all of them.
+    ///
+    /// A tracked driver stops jumping over ladder rungs: the
+    /// taken-interval cumulative a jump needs is unknown after a restore.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this driver's track requires tracker state the snapshot
+    /// does not carry (it was captured by a driver with a different
+    /// track).
+    pub fn restore_from(&mut self, snap: &DriverSnapshot) {
+        self.machine.restore(&snap.machine);
+        self.retired = snap.retired;
+        if let (Some(t), _, _) = &mut self.sink {
             let cur = snap
                 .hashed_current
                 .as_ref()
                 .expect("snapshot lacks the hashed tracker state this track requires");
             t.set_current(*cur);
         }
-        if let (_, Some(t), _) = &mut d.sink {
+        if let (_, Some(t), _) = &mut self.sink {
             let cur = snap
                 .full_current
                 .clone()
                 .expect("snapshot lacks the full tracker state this track requires");
             t.set_current(cur);
         }
-        if let (_, _, Some(t)) = &mut d.sink {
+        if let (_, _, Some(t)) = &mut self.sink {
             let cur = snap
                 .hashed_current
                 .as_ref()
                 .expect("snapshot lacks the MAV tracker state this track requires");
             t.set_current(*cur);
         }
-        d
+        self.jumps_ok &= matches!(self.track, Track::None);
     }
 
     /// Captures the driver's complete resumable state; see
-    /// [`DriverSnapshot`].
-    pub fn snapshot(&self) -> DriverSnapshot {
+    /// [`DriverSnapshot`] and [`Machine::snapshot`].
+    pub fn snapshot(&mut self) -> DriverSnapshot {
         DriverSnapshot {
             machine: self.machine.snapshot(),
             retired: self.retired,
@@ -548,10 +567,8 @@ impl SimDriver {
                 let upto = self.retired.saturating_add(segment.max_ops);
                 if let Some(rung) = ladder.best_rung_in(self.retired, upto) {
                     skipped = rung.retired - self.retired;
-                    let snap = decode_machine_snapshot(&rung.machine)
-                        .expect("ladder rungs are validated at construction");
                     let pre = self.machine.mode_ops();
-                    self.machine.restore(&snap);
+                    self.machine.restore(&rung.machine);
                     // The restored machine carries the capture pass's op
                     // accounting; charge this run's instead, with the
                     // skipped distance as the functional ops it stands for.

@@ -134,7 +134,10 @@ impl Technique for TurboSmarts {
         // snapshotting at each sample start, each checkpoint replayed
         // (restore → warm → measure) immediately so only one snapshot is
         // ever in flight — then its CPIs are fed to the estimator in the
-        // shuffled order, stopping as soon as the bound closes.
+        // shuffled order, stopping as soon as the bound closes. One replay
+        // driver per round restores every checkpoint of the round: a
+        // restore copies only the pages that differ from the previous
+        // checkpoint, and its trace merges once (merging is additive).
         let mut cpis: Vec<Option<f64>> = vec![None; population as usize];
         let mut w = Welford::new();
         let mut consumed = 0u64;
@@ -150,22 +153,21 @@ impl Technique for TurboSmarts {
             positions.sort_unstable();
             let mut capture = SimDriver::new(workload, config, Track::None);
             attach(&mut capture);
+            let mut replay = SimDriver::new(workload, config, Track::None);
+            attach(&mut replay);
             for &i in &positions {
                 let pos = i as u64 * s.period_ops;
                 if pos > capture.retired() {
                     capture.execute(Segment::new(Mode::Functional, pos - capture.retired()));
                 }
                 debug_assert_eq!(capture.retired(), pos);
-                let checkpoint = capture.snapshot();
-                let mut replay =
-                    SimDriver::from_snapshot(workload, config, Track::None, &checkpoint);
-                attach(&mut replay);
+                replay.restore_from(&capture.snapshot());
                 replay.execute(Segment::new(Mode::DetailedWarming, s.warm_ops));
                 let measured = replay.execute(Segment::new(Mode::DetailedMeasured, s.unit_ops));
                 assert!(measured.complete(), "population samples fit before halt");
                 cpis[i] = Some(measured.cpi());
-                trace.merge(replay.trace());
             }
+            trace.merge(replay.trace());
             trace.merge(capture.trace());
             for &i in round {
                 w.push(cpis[i].expect("computed this round"));

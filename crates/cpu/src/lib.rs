@@ -63,6 +63,7 @@ mod bpred;
 mod cache;
 mod config;
 mod machine;
+mod paged;
 mod reference;
 mod sink;
 
@@ -70,5 +71,6 @@ pub use bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
 pub use cache::{Cache, CacheState, MemSystem, MemSystemState};
 pub use config::{BranchPredictorConfig, CacheConfig, LatencyConfig, MachineConfig};
 pub use machine::{Machine, MachineFault, MachineSnapshot, Mode, ModeOps, RunResult};
+pub use paged::{Page, PagedImage, PAGE_WORDS};
 pub use reference::ReferenceMachine;
 pub use sink::{NoopSink, RetireSink};

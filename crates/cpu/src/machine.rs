@@ -29,6 +29,7 @@ use pgss_isa::{DecodedOp, DecodedProgram, LatClass, OpKind, Program};
 use crate::bpred::{BranchPredictor, BranchPredictorState, Btb, BtbState};
 use crate::cache::{MemSystem, MemSystemState};
 use crate::config::MachineConfig;
+use crate::paged::{page_count, page_of, page_range, same_page, Page, PagedImage, PAGE_SHIFT};
 use crate::sink::{NoopSink, RetireSink};
 
 /// Bytes per encoded instruction, used to map instruction addresses onto
@@ -191,8 +192,9 @@ pub struct MachineSnapshot {
     pub regs: [i64; 32],
     /// Floating-point register file.
     pub fregs: [f64; 32],
-    /// Data memory image.
-    pub mem: Vec<i64>,
+    /// Data memory image, page-granular and copy-on-write: snapshots
+    /// of one machine share every page that did not change in between.
+    pub mem: PagedImage,
     /// Whether the program has halted.
     pub halted: bool,
     /// Per-mode retired-instruction counters.
@@ -260,7 +262,14 @@ pub struct Machine {
     /// or snapshotted.
     regs: [i64; 64],
     fregs: [f64; 32],
+    /// Data memory, flat so loads and stores index it directly.
     mem: Vec<i64>,
+    /// The image the clean pages of `mem` hold: that of the last snapshot
+    /// taken or restored, or all zero (`None`) before the first.
+    base: Option<PagedImage>,
+    /// One bit per page of `mem`, set when the page may differ from
+    /// `base` (stores, [`Machine::write_memory`], [`Machine::memory_mut`]).
+    dirty: Vec<u64>,
     memsys: MemSystem,
     bpred: BranchPredictor,
     btb: Btb,
@@ -355,6 +364,8 @@ impl Machine {
             regs: [0; 64],
             fregs: [0.0; 32],
             mem: vec![0; config.memory_words],
+            base: None,
+            dirty: vec![0; page_count(config.memory_words).div_ceil(64)],
             memsys: MemSystem::new(&config),
             bpred: BranchPredictor::new(config.bpred),
             btb: Btb::new(config.bpred.btb_entries),
@@ -429,8 +440,44 @@ impl Machine {
 
     /// Mutable access to data memory, for pre-run initialization of workload
     /// data structures (arrays, pointer-chase rings, entropy tables).
+    ///
+    /// Every page is conservatively marked dirty, so the next
+    /// [`Machine::snapshot`] copies the whole memory; prefer
+    /// [`Machine::write_memory`], which marks only the pages it writes.
     pub fn memory_mut(&mut self) -> &mut [i64] {
+        self.dirty.fill(u64::MAX);
         &mut self.mem
+    }
+
+    /// Copies `words` into data memory starting at word address `base`,
+    /// marking only the pages written dirty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the words extend past the end of memory.
+    pub fn write_memory(&mut self, base: usize, words: &[i64]) {
+        self.mem[base..base + words.len()].copy_from_slice(words);
+        if let Some(last) = (base + words.len()).checked_sub(1) {
+            for page in base >> PAGE_SHIFT..=last >> PAGE_SHIFT {
+                self.dirty[page >> 6] |= 1 << (page & 63);
+            }
+        }
+    }
+
+    /// Marks the page holding word `addr` dirty (see [`Machine::snapshot`]).
+    #[inline(always)]
+    fn mark_dirty(&mut self, addr: u64) {
+        let page = (addr >> PAGE_SHIFT) as usize;
+        self.dirty[page >> 6] |= 1 << (page & 63);
+    }
+
+    fn is_dirty(&self, page: usize) -> bool {
+        self.dirty[page >> 6] & (1 << (page & 63)) != 0
+    }
+
+    /// Page `page` of the image the clean pages of memory hold.
+    fn base_page(&self, page: usize) -> Option<&Arc<[i64]>> {
+        self.base.as_ref().and_then(|b| b.pages()[page].as_ref())
     }
 
     /// The memory hierarchy (for hit-rate inspection).
@@ -445,12 +492,33 @@ impl Machine {
 
     /// Captures a [`MachineSnapshot`] of the current architectural and
     /// warm microarchitectural state.
-    pub fn snapshot(&self) -> MachineSnapshot {
+    ///
+    /// The memory image shares every clean page with the machine's
+    /// current image and copies only the dirty pages, so the cost is
+    /// proportional to the pages written since the last snapshot or
+    /// restore. The snapshot's image then becomes the machine's current
+    /// image (all pages clean): consecutive snapshots of one run share
+    /// every page not written in between. Architectural state is
+    /// unchanged — `&mut` only covers that copy-on-write bookkeeping.
+    pub fn snapshot(&mut self) -> MachineSnapshot {
+        let len = self.mem.len();
+        let pages: Vec<Page> = (0..page_count(len))
+            .map(|p| {
+                if self.is_dirty(p) {
+                    page_of(&self.mem[page_range(len, p)])
+                } else {
+                    self.base_page(p).cloned()
+                }
+            })
+            .collect();
+        let mem = PagedImage::from_pages(len, pages);
+        self.base = Some(mem.clone());
+        self.dirty.fill(0);
         MachineSnapshot {
             pc: self.pc,
             regs: self.regs[..32].try_into().expect("32 architectural regs"),
             fregs: self.fregs,
-            mem: self.mem.clone(),
+            mem,
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
@@ -465,22 +533,37 @@ impl Machine {
     /// detailed run re-warms pipeline state; subsequent execution is
     /// bit-exact with the machine the snapshot was taken from.
     ///
+    /// Only pages that are dirty, or whose page in the snapshot is a
+    /// different allocation than in the machine's current image (see
+    /// [`Machine::snapshot`]), are copied into memory; the snapshot's
+    /// image then becomes the current image. Returns the number of pages
+    /// copied — a deterministic measure of the restore's cost.
+    ///
     /// # Panics
     ///
     /// Panics if the snapshot's memory image or any
     /// cache/predictor-table shape does not match this machine's
     /// configuration.
-    pub fn restore(&mut self, snapshot: &MachineSnapshot) {
+    pub fn restore(&mut self, snapshot: &MachineSnapshot) -> usize {
+        let len = self.mem.len();
         assert_eq!(
             snapshot.mem.len(),
-            self.mem.len(),
+            len,
             "snapshot memory image does not match this machine's configuration"
         );
+        let mut copied = 0;
+        for (p, page) in snapshot.mem.pages().iter().enumerate() {
+            if self.is_dirty(p) || !same_page(self.base_page(p), page.as_ref()) {
+                self.mem[page_range(len, p)].copy_from_slice(snapshot.mem.page(p));
+                copied += 1;
+            }
+        }
+        self.base = Some(snapshot.mem.clone());
+        self.dirty.fill(0);
         self.pc = snapshot.pc;
         self.regs[..32].copy_from_slice(&snapshot.regs);
         self.regs[32..].fill(0);
         self.fregs = snapshot.fregs;
-        self.mem.clone_from(&snapshot.mem);
         self.halted = snapshot.halted;
         self.mode_ops = snapshot.mode_ops;
         self.ops_since_taken = snapshot.ops_since_taken;
@@ -488,7 +571,12 @@ impl Machine {
         self.bpred.load_state(&snapshot.bpred);
         self.btb.load_state(&snapshot.btb);
         self.timing_valid = false;
+        // Fetch-line dedup memo: derived from the access stream, not part
+        // of the state, so a restored machine starts with it unknown no
+        // matter what it ran before.
+        self.last_fetch_line = u64::MAX;
         self.fault = None;
+        copied
     }
 
     /// Overrides the per-mode retired counters.
@@ -749,6 +837,7 @@ impl Machine {
                 let addr = self.effective(b, op.imm);
                 sink.data_access(addr);
                 self.mem[addr as usize] = self.regs[c];
+                self.mark_dirty(addr);
                 if DETAILED {
                     let ready = self.reg_ready[c].max(self.reg_ready[b]);
                     let l = self.memsys.store_latency_fast(addr * 8);
@@ -773,6 +862,7 @@ impl Machine {
                 let addr = self.effective(b, op.imm);
                 sink.data_access(addr);
                 self.mem[addr as usize] = self.fregs[c].to_bits() as i64;
+                self.mark_dirty(addr);
                 if DETAILED {
                     let ready = self.reg_ready[32 + c].max(self.reg_ready[b]);
                     let l = self.memsys.store_latency_fast(addr * 8);
@@ -1350,7 +1440,7 @@ mod tests {
     #[should_panic(expected = "does not match")]
     fn restoring_mismatched_snapshot_panics() {
         let p = dependent_alu_program(4, 4);
-        let m = Machine::new(small_config(), &p);
+        let mut m = Machine::new(small_config(), &p);
         let snap = m.snapshot();
         let mut other = Machine::new(
             MachineConfig {
@@ -1449,6 +1539,164 @@ mod tests {
         a.run(Mode::Functional, u64::MAX);
         b.run(Mode::Functional, u64::MAX);
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    /// Ops [`page_writer`] retires through its `k`-th page store.
+    fn writer_ops(k: u64) -> u64 {
+        3 + 5 * k
+    }
+
+    /// Stores `1..=pages` to word `base` of `pages` consecutive pages,
+    /// then loops forever storing to word 0, so runs can stop anywhere.
+    fn page_writer(base: i64, pages: i64) -> Program {
+        let mut asm = Assembler::new();
+        let (i, n, addr, v) = (Reg::R1, Reg::R2, Reg::R3, Reg::R4);
+        asm.li(i, 0);
+        asm.li(n, pages);
+        asm.li(addr, base);
+        let top = asm.bind_new_label();
+        asm.addi(v, i, 1);
+        asm.store(v, addr, 0);
+        asm.addi(addr, addr, crate::PAGE_WORDS as i64);
+        asm.addi(i, i, 1);
+        asm.branch(Cond::Lt, i, n, top);
+        let spin = asm.bind_new_label();
+        asm.store(v, Reg::R0, 0);
+        asm.jump(spin);
+        asm.finish().unwrap()
+    }
+
+    #[test]
+    fn restoring_the_snapshot_just_taken_copies_nothing() {
+        let p = page_writer(0, 40);
+        let mut m = Machine::new(small_config(), &p);
+        m.run(Mode::Functional, writer_ops(40));
+        let snap = m.snapshot();
+        assert_eq!(snap.mem.nonzero_pages(), 40);
+        assert_eq!(m.restore(&snap), 0);
+        // Restoring again, and restoring a re-snapshot, copy nothing too.
+        assert_eq!(m.restore(&snap), 0);
+        let again = m.snapshot();
+        assert_eq!(again, snap);
+        assert_eq!(m.restore(&again), 0);
+    }
+
+    #[test]
+    fn one_store_costs_one_page_on_restore() {
+        let p = page_writer(0, 40);
+        let mut m = Machine::new(small_config(), &p);
+        m.run(Mode::Functional, writer_ops(40));
+        let snap = m.snapshot();
+        // The spin loop stores to word 0 only: one dirty page.
+        m.run(Mode::Functional, 2);
+        assert_eq!(m.restore(&snap), 1);
+        assert_eq!(m.snapshot(), snap);
+    }
+
+    #[test]
+    fn snapshots_share_pages_not_written_in_between() {
+        let p = page_writer(0, 40);
+        let mut m = Machine::new(small_config(), &p);
+        m.run(Mode::Functional, writer_ops(20));
+        let first = m.snapshot();
+        m.run(Mode::Functional, writer_ops(40) - writer_ops(20));
+        let second = m.snapshot();
+        let shared = (0..first.mem.pages().len())
+            .filter(|&i| match (&first.mem.pages()[i], &second.mem.pages()[i]) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+            .count();
+        // Pages 0..20 were written only before the first snapshot.
+        assert_eq!(shared, 20);
+        // Jumping between the two copies only the pages that differ.
+        assert_eq!(m.restore(&first), 20);
+        assert_eq!(m.restore(&second), 20);
+    }
+
+    #[test]
+    fn float_stores_dirty_their_page() {
+        let mut asm = Assembler::new();
+        asm.fload(Reg::R1, Reg::R0, 0);
+        asm.li(Reg::R2, 5 * crate::PAGE_WORDS as i64);
+        asm.fstore(Reg::R1, Reg::R2, 0);
+        asm.halt();
+        let p = asm.finish().unwrap();
+        let mut m = Machine::new(small_config(), &p);
+        m.write_memory(0, &[1.5f64.to_bits() as i64]);
+        let snap = m.snapshot();
+        m.run(Mode::Functional, u64::MAX);
+        assert_eq!(m.memory()[5 * crate::PAGE_WORDS], 1.5f64.to_bits() as i64);
+        assert_eq!(m.snapshot().mem.nonzero_pages(), 2);
+        assert_eq!(m.restore(&snap), 1);
+        assert_eq!(m.memory()[5 * crate::PAGE_WORDS], 0);
+    }
+
+    #[test]
+    fn write_memory_dirties_only_its_pages() {
+        let p = dependent_alu_program(1, 1);
+        let mut m = Machine::new(small_config(), &p);
+        m.write_memory(crate::PAGE_WORDS - 1, &[5, 6]);
+        m.write_memory(10 * crate::PAGE_WORDS, &[7]);
+        let snap = m.snapshot();
+        assert_eq!(snap.mem.nonzero_pages(), 3);
+        assert_eq!(
+            &snap.mem.to_vec()[crate::PAGE_WORDS - 1..=crate::PAGE_WORDS],
+            &[5, 6]
+        );
+        let mut fresh = Machine::new(small_config(), &p);
+        assert_eq!(fresh.restore(&snap), 3);
+        // `memory_mut` cannot know what the caller touches: every page
+        // is dirty, so a restore rewrites all of them.
+        fresh.memory_mut()[0] = 1;
+        assert_eq!(
+            fresh.restore(&snap),
+            small_config().memory_words / crate::PAGE_WORDS
+        );
+        assert_eq!(fresh.memory(), m.memory());
+    }
+
+    #[test]
+    fn a_diverged_machine_restores_to_the_same_state_as_a_fresh_one() {
+        let p = page_writer(3, 100);
+        let mut m = Machine::new(small_config(), &p);
+        m.run(Mode::Functional, writer_ops(30));
+        let snap = m.snapshot();
+        // Diverge on many pages and in every other piece of state.
+        m.run(Mode::DetailedMeasured, writer_ops(90) - writer_ops(30));
+        m.write_memory(5_000, &[9; 3_000]);
+        let copied = m.restore(&snap);
+        assert_eq!(
+            copied,
+            60 + 7,
+            "stored pages plus the 7 write_memory touched"
+        );
+        let mut fresh = Machine::new(small_config(), &p);
+        assert_eq!(fresh.restore(&snap), snap.mem.nonzero_pages());
+        assert_eq!(m.snapshot(), fresh.snapshot());
+        for (mode, ops) in [(Mode::Functional, 77), (Mode::DetailedMeasured, 200)] {
+            assert_eq!(m.run(mode, ops), fresh.run(mode, ops));
+        }
+        assert_eq!(m.snapshot(), fresh.snapshot());
+        assert_eq!(m.memory(), fresh.memory());
+    }
+
+    #[test]
+    fn short_memories_are_one_short_page() {
+        let cfg = MachineConfig {
+            memory_words: 64,
+            ..MachineConfig::default()
+        };
+        let p = page_writer(5, 1);
+        let mut m = Machine::new(cfg, &p);
+        m.run(Mode::Functional, writer_ops(1));
+        let snap = m.snapshot();
+        assert_eq!(snap.mem.pages().len(), 1);
+        assert_eq!(snap.mem.page(0).len(), 64);
+        assert_eq!(snap.mem.page(0)[5], 1);
+        let mut fresh = Machine::new(cfg, &p);
+        assert_eq!(fresh.restore(&snap), 1);
+        assert_eq!(fresh.memory(), m.memory());
     }
 
     #[test]

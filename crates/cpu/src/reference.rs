@@ -22,6 +22,7 @@ use crate::bpred::{BranchPredictor, Btb};
 use crate::cache::MemSystem;
 use crate::config::MachineConfig;
 use crate::machine::{MachineFault, MachineSnapshot, Mode, ModeOps, RunResult, INSTR_BYTES};
+use crate::paged::PagedImage;
 use crate::sink::{NoopSink, RetireSink};
 
 /// The original per-op interpreter and timing model, retained as an
@@ -139,13 +140,15 @@ impl ReferenceMachine {
     }
 
     /// Captures a [`MachineSnapshot`], interchangeable with the decoded
-    /// core's.
+    /// core's. Memory stays flat here and is converted to a
+    /// [`PagedImage`] at this boundary, so the oracle shares no
+    /// copy-on-write bookkeeping with the core it checks.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             pc: self.pc,
             regs: self.regs,
             fregs: self.fregs,
-            mem: self.mem.clone(),
+            mem: PagedImage::from_words(&self.mem),
             halted: self.halted,
             mode_ops: self.mode_ops,
             ops_since_taken: self.ops_since_taken,
@@ -171,7 +174,7 @@ impl ReferenceMachine {
         self.pc = snapshot.pc;
         self.regs = snapshot.regs;
         self.fregs = snapshot.fregs;
-        self.mem.clone_from(&snapshot.mem);
+        snapshot.mem.copy_to(&mut self.mem);
         self.halted = snapshot.halted;
         self.mode_ops = snapshot.mode_ops;
         self.ops_since_taken = snapshot.ops_since_taken;
@@ -179,6 +182,10 @@ impl ReferenceMachine {
         self.bpred.load_state(&snapshot.bpred);
         self.btb.load_state(&snapshot.btb);
         self.timing_valid = false;
+        // Fetch-line dedup memo: derived from the access stream, not part
+        // of the state, so a restored machine starts with it unknown no
+        // matter what it ran before.
+        self.last_fetch_line = u64::MAX;
         self.fault = None;
     }
 

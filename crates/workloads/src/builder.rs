@@ -121,6 +121,12 @@ impl MemoryImage {
         self.high_water
     }
 
+    /// The initialised chunks as `(base word address, words)`, in the
+    /// order they were pushed.
+    pub fn chunks(&self) -> impl Iterator<Item = (usize, &[i64])> {
+        self.chunks.iter().map(|(base, words)| (*base, &words[..]))
+    }
+
     /// Copies the image into `memory`.
     ///
     /// # Panics
@@ -620,7 +626,11 @@ pub(crate) fn machine_for(
     config: MachineConfig,
 ) -> Machine {
     let mut machine = Machine::new(grown(config, required_words), program);
-    memory.apply(machine.memory_mut());
+    // Page-granular writes: only the pages the image initialises are
+    // dirty, so snapshots of the machine copy only those.
+    for (base, words) in memory.chunks() {
+        machine.write_memory(base, words);
+    }
     machine
 }
 

@@ -31,6 +31,9 @@ cargo test --release --test statistical_validation -q
 echo "== metrics goldens (JSONL byte-identical across worker counts, schema pin)"
 cargo test --release --test metrics_golden -q
 
+echo "== campaign benchmark self-tests (builds against the public snapshot and ladder APIs)"
+cargo test --release --manifest-path campaign_bench/Cargo.toml -q
+
 echo "== campaign server (pgss-serve: SIGKILL resume, quotas, byte-identical reports)"
 # Timeout-wrapped: a scheduler wedge in the daemon would otherwise hang
 # the whole gate instead of failing it.

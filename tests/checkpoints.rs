@@ -11,12 +11,14 @@ mod util;
 use std::sync::Arc;
 
 use pgss::ckpt::{encode_machine_snapshot, CheckpointKey};
+use pgss::driver::{RunTrace, Segment, SimDriver};
 use pgss::{
-    campaign, AdaptivePgss, CheckpointLadder, LadderSpec, OnlineSimPoint, PgssSim, SimContext,
-    SimPointOffline, Smarts, Technique, Track, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
+    campaign, AdaptivePgss, CheckpointLadder, Estimate, LadderSpec, OnlineSimPoint, PgssSim,
+    SimContext, SimPointOffline, Smarts, Technique, Track, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, STORE_FORMAT_VERSION};
-use pgss_cpu::MachineConfig;
+use pgss_cpu::{MachineConfig, Mode, ModeOps};
+use pgss_stats::{ConfidenceInterval, DetRng, Welford, Z_95};
 use pgss_workloads::Workload;
 
 fn workload() -> Workload {
@@ -266,4 +268,111 @@ fn snapshot_format_is_pinned() {
         key.hash(),
         CheckpointKey::new(&w, &MachineConfig::default(), 40_000).hash()
     );
+}
+
+/// TurboSMARTS as it ran with one fresh replay driver per sample: each
+/// checkpoint built its own driver, and each driver's trace merged on its
+/// own. Kept as the oracle for the reused per-round replay driver.
+fn turbo_with_fresh_replays(
+    t: &TurboSmarts,
+    w: &Workload,
+    cfg: &MachineConfig,
+    ctx: &SimContext,
+) -> (Estimate, RunTrace) {
+    let s = t.smarts;
+    let mut length_pass = SimDriver::new(w, cfg, Track::None);
+    ctx.bind(&mut length_pass);
+    length_pass.execute(Segment::new(Mode::Functional, u64::MAX));
+    let total = length_pass.retired();
+    let mut trace = *length_pass.trace();
+    let population = (total - s.warm_ops - s.unit_ops) / s.period_ops + 1;
+    let mut order: Vec<usize> = (0..population as usize).collect();
+    DetRng::seed_from_u64(t.seed).shuffle(&mut order);
+    let mut cpis: Vec<Option<f64>> = vec![None; population as usize];
+    let mut welford = Welford::new();
+    let mut consumed = 0u64;
+    let mut issued = 0usize;
+    'rounds: while issued < order.len() {
+        let want = if issued == 0 {
+            (t.min_samples.max(1) as usize).min(order.len())
+        } else {
+            issued.min(order.len() - issued)
+        };
+        let round = &order[issued..issued + want];
+        let mut positions = round.to_vec();
+        positions.sort_unstable();
+        let mut capture = SimDriver::new(w, cfg, Track::None);
+        ctx.bind(&mut capture);
+        for &i in &positions {
+            let pos = i as u64 * s.period_ops;
+            if pos > capture.retired() {
+                capture.execute(Segment::new(Mode::Functional, pos - capture.retired()));
+            }
+            let checkpoint = capture.snapshot();
+            let mut replay = SimDriver::from_snapshot(w, cfg, Track::None, &checkpoint);
+            ctx.bind(&mut replay);
+            replay.execute(Segment::new(Mode::DetailedWarming, s.warm_ops));
+            let measured = replay.execute(Segment::new(Mode::DetailedMeasured, s.unit_ops));
+            cpis[i] = Some(measured.cpi());
+            trace.merge(replay.trace());
+        }
+        trace.merge(capture.trace());
+        for &i in round {
+            welford.push(cpis[i].unwrap());
+            consumed += 1;
+            if consumed >= t.min_samples
+                && ConfidenceInterval::from_welford(&welford, t.z).meets_relative(t.target_rel)
+            {
+                break 'rounds;
+            }
+        }
+        issued += want;
+    }
+    trace.samples_taken = consumed;
+    trace.skipped_ci_met = population - consumed;
+    // The CPI interval maps into IPC space by the delta method.
+    let cpi_ci = ConfidenceInterval::from_welford(&welford, Z_95);
+    let ipc = 1.0 / cpi_ci.mean;
+    let estimate = Estimate {
+        ipc: 1.0 / welford.mean(),
+        mode_ops: ModeOps {
+            detailed_warming: consumed * s.warm_ops,
+            detailed_measured: consumed * s.unit_ops,
+            ..ModeOps::default()
+        },
+        samples: consumed,
+        phases: None,
+        ci: Some(ConfidenceInterval {
+            mean: ipc,
+            half_width: cpi_ci.half_width * ipc * ipc,
+            n: cpi_ci.n,
+        }),
+    };
+    (estimate, trace)
+}
+
+#[test]
+fn turbo_smarts_reused_replay_driver_matches_fresh_drivers() {
+    let w = pgss_workloads::gzip(0.01);
+    let cfg = MachineConfig::default();
+    let smarts = Smarts {
+        period_ops: 100_000,
+        ..Smarts::default()
+    };
+    // The convergent default and a target no bound meets, which consumes
+    // the whole population over several doubling rounds.
+    for target_rel in [0.03, 0.0] {
+        let t = TurboSmarts {
+            smarts,
+            target_rel,
+            ..TurboSmarts::default()
+        };
+        let ladder = ladder_for(&t, &w, &cfg, 500_000);
+        for ctx in [SimContext::none(), SimContext::with_ladder(ladder)] {
+            let reused = t.run_traced_ctx(&w, &cfg, &ctx);
+            let fresh = turbo_with_fresh_replays(&t, &w, &cfg, &ctx);
+            assert_eq!(reused, fresh, "target {target_rel}");
+            assert!(reused.1.segments[Mode::DetailedMeasured as usize] > 1);
+        }
+    }
 }

@@ -307,3 +307,101 @@ fn snapshots_interoperate_between_cores() {
     assert_eq!(d_sink, r_sink);
     assert_eq!(decoded.snapshot(), reference.snapshot());
 }
+
+/// A random store-heavy workload: most segments write memory, over
+/// regions from a quarter page to many pages, so snapshots and restores
+/// exercise the page-granular copy-on-write paths of the decoded core.
+fn store_heavy_workload(seed: u64) -> Workload {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut b = WorkloadBuilder::new(format!("stores-{seed}"), seed ^ 0x0051_07e5);
+    let mut segments = Vec::new();
+    for _ in 0..2 + rng.range_usize(3) {
+        let kernel = match rng.range_usize(3) {
+            0 | 1 => {
+                // Strides up to a page; a region holds 8 strides at least.
+                let region_words = 1 << (7 + rng.range_usize(7));
+                Kernel::StoreStream {
+                    region_words,
+                    stride_words: 1 + rng.range_usize((region_words / 8 - 1).min(512)),
+                }
+            }
+            _ => Kernel::Stream {
+                region_words: 1 << (8 + rng.range_usize(5)),
+                stride_words: 1 + rng.range_usize(9),
+                compute_per_load: rng.range_u64(3) as u32,
+            },
+        };
+        segments.push(b.add_segment(kernel));
+    }
+    for _ in 0..3 + rng.range_usize(4) {
+        let seg = segments[rng.range_usize(segments.len())];
+        b.run(seg, 5_000 + rng.range_u64(30_000));
+    }
+    b.finish()
+}
+
+/// Snapshot mid-run, run on, restore, re-run — on both cores. The re-run
+/// must repeat the first run-on exactly, the cores must agree at every
+/// step, and the decoded core's restores must copy only the pages that
+/// changed.
+#[test]
+fn restores_mid_run_match_reference_on_store_heavy_programs() {
+    let mut total_copied = 0;
+    for seed in 0..10u64 {
+        let w = store_heavy_workload(seed);
+        let mut rng = DetRng::seed_from_u64(seed ^ 0xa11);
+        let mut decoded = w.machine_with(test_config());
+        let mut reference = w.reference_machine_with(test_config());
+        let mid = 1 + rng.range_u64(50_000);
+        assert_eq!(
+            decoded.run(Mode::Functional, mid),
+            reference.run(Mode::Functional, mid)
+        );
+        let d_snap = decoded.snapshot();
+        let r_snap = reference.snapshot();
+        assert_eq!(d_snap, r_snap, "{}: snapshots differ at {mid}", w.name());
+        // Start both run-ons from a restored state, so the re-run below
+        // begins from exactly the same place.
+        assert_eq!(
+            decoded.restore(&d_snap),
+            0,
+            "restoring the snapshot just taken"
+        );
+        reference.restore(&r_snap);
+
+        let mode = ALL_MODES[rng.range_usize(4)];
+        let ops = 1 + rng.range_u64(40_000);
+        let run_on = |d: &mut pgss_cpu::Machine, r: &mut pgss_cpu::ReferenceMachine| {
+            let mut d_sink = StreamDigest::default();
+            let mut r_sink = StreamDigest::default();
+            let dr = d.run_with(mode, ops, &mut d_sink);
+            let rr = r.run_with(mode, ops, &mut r_sink);
+            assert_eq!(dr, rr, "{}: run-on diverged ({mode}, {ops} ops)", w.name());
+            assert_eq!(d_sink, r_sink);
+            (dr, d_sink)
+        };
+        let first = run_on(&mut decoded, &mut reference);
+        let after_first = decoded.snapshot();
+        assert_eq!(after_first, reference.snapshot());
+
+        let copied = decoded.restore(&d_snap);
+        reference.restore(&r_snap);
+        let changed = (0..d_snap.mem.pages().len())
+            .filter(|&p| d_snap.mem.page(p) != after_first.mem.page(p))
+            .count();
+        assert!(
+            copied >= changed && copied <= after_first.mem.pages().len(),
+            "{}: restore copied {copied} pages, {changed} changed",
+            w.name()
+        );
+        total_copied += copied;
+        assert_eq!(decoded.snapshot(), d_snap);
+        assert_eq!(reference.snapshot(), r_snap);
+
+        let second = run_on(&mut decoded, &mut reference);
+        assert_eq!(first, second, "{}: the re-run differs", w.name());
+        assert_eq!(decoded.snapshot(), after_first);
+        assert_eq!(reference.snapshot(), after_first);
+    }
+    assert!(total_copied > 0, "no run-on wrote memory");
+}
