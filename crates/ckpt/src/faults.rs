@@ -8,13 +8,19 @@
 //! reproducible bit-for-bit.
 //!
 //! Installation returns a [`StoreFaultGuard`] that clears the plan when
-//! dropped. Guards hold a process-wide lock (see [`serialize`]), so tests
-//! exercising faults are serialized against each other even under the
-//! default parallel test runner; everything here is test infrastructure
-//! and compiles away entirely without the `fault-inject` feature.
+//! dropped. The plan is process-global, so it fires on *every* store
+//! operation while installed — including another test's. Guards therefore
+//! hold a process-wide lock (see [`serialize`]), and a test whose store
+//! operations run outside its guard (a clean baseline run, a check after
+//! the plan is gone) takes that lock for its whole body; the lock is
+//! reentrant on the holding thread, so the test can still install plans
+//! under it. Everything here is test infrastructure and compiles away
+//! entirely without the `fault-inject` feature.
 
 use std::io;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::marker::PhantomData;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 
 /// Which store operations to sabotage, each keyed by a 0-based operation
 /// index counted (per kind) from plan installation.
@@ -69,21 +75,59 @@ struct Active {
     log: Vec<String>,
 }
 
-/// Serializes every fault-injecting test in the process (shared with
+/// Owner and depth of the process-wide fault-test lock (shared with
 /// `pgss::faults`, which layers cell-level faults on the same lock).
-static SERIAL: Mutex<()> = Mutex::new(());
+static SERIAL: Mutex<Option<(ThreadId, usize)>> = Mutex::new(None);
+static SERIAL_FREED: Condvar = Condvar::new();
 static ACTIVE: Mutex<Option<Active>> = Mutex::new(None);
 
 fn active() -> MutexGuard<'static, Option<Active>> {
     ACTIVE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Acquires the process-wide fault-test lock without installing a plan.
-/// Higher layers (e.g. `pgss::faults`) hold this while managing their own
-/// plans so store-level and cell-level fault tests can never deadlock or
-/// interleave.
-pub fn serialize() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+/// Holds the fault-test lock; releases it when the holding thread drops
+/// its last guard.
+#[derive(Debug)]
+pub struct SerialGuard {
+    /// Not `Send`: the guard must drop on the thread that holds the lock.
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for SerialGuard {
+    fn drop(&mut self) {
+        let mut owner = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, depth)) = owner.as_mut() {
+            *depth -= 1;
+            if *depth == 0 {
+                *owner = None;
+                SERIAL_FREED.notify_all();
+            }
+        }
+    }
+}
+
+/// Acquires the process-wide fault-test lock without installing a plan —
+/// what a test takes for its whole body when it touches a store or runs
+/// a campaign outside its plan guard. Reentrant on the holding thread, so
+/// [`install`] (and `pgss::faults::install`) work under it.
+pub fn serialize() -> SerialGuard {
+    let me = std::thread::current().id();
+    let mut owner = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        match owner.as_mut() {
+            None => *owner = Some((me, 1)),
+            Some((holder, depth)) if *holder == me => *depth += 1,
+            Some(_) => {
+                owner = SERIAL_FREED
+                    .wait(owner)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+        }
+        return SerialGuard {
+            _thread: PhantomData,
+        };
+    }
 }
 
 /// Installs `plan`, returning a guard that clears it (and releases the
@@ -119,7 +163,7 @@ pub fn injection_log() -> Vec<String> {
 /// Clears the plan on drop. See [`install`].
 #[derive(Debug)]
 pub struct StoreFaultGuard {
-    _serial: MutexGuard<'static, ()>,
+    _serial: SerialGuard,
 }
 
 impl Drop for StoreFaultGuard {

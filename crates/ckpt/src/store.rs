@@ -561,14 +561,46 @@ fn parse_record(bytes: &[u8], key: u64) -> Result<&[u8], RecordFault> {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    /// A fresh scratch directory for one test. Under `fault-inject` it
+    /// also holds the fault-test lock for the whole test, so no other
+    /// test's fault plan fires on this test's store operations.
+    struct Scratch {
+        dir: PathBuf,
+        #[cfg(feature = "fault-inject")]
+        _serial: crate::faults::SerialGuard,
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.dir
+        }
+    }
+
+    impl AsRef<Path> for Scratch {
+        fn as_ref(&self) -> &Path {
+            &self.dir
+        }
+    }
+
+    impl From<&Scratch> for PathBuf {
+        fn from(s: &Scratch) -> PathBuf {
+            s.dir.clone()
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
         let dir = std::env::temp_dir().join(format!(
             "pgss-ckpt-{name}-{}-{}",
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        Scratch {
+            dir,
+            #[cfg(feature = "fault-inject")]
+            _serial: crate::faults::serialize(),
+        }
     }
 
     #[test]

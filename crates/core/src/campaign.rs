@@ -4,18 +4,19 @@
 //! The paper's figures are all *campaigns* — every benchmark in the suite
 //! run under every technique under comparison. Because a technique run is
 //! "construct [`crate::driver::SimDriver`]s, run policies" with no shared
-//! mutable state, cells are embarrassingly parallel: workers claim jobs
-//! from an atomic counter and results are returned **in job order**
+//! mutable state, cells are embarrassingly parallel: workers claim cells
+//! from one [`Scheduler`] and results are returned **in job order**
 //! regardless of thread count or scheduling, so campaign output is
-//! deterministic and directly comparable across runs.
+//! deterministic and directly comparable across runs. The campaign server
+//! drives the same scheduler.
 //!
 //! # Fault tolerance
 //!
 //! A production campaign over thousands of cells cannot be all-or-nothing.
 //! Every cell runs under [`std::panic::catch_unwind`], so a panicking
-//! technique costs exactly its own cell; failed cells are retried a
-//! bounded, deterministic number of times (see [`RetryPolicy`] — retry
-//! order is seeded and reproducible, with no wall-clock backoff, so two
+//! technique costs exactly its own cell; a failed cell goes back to the
+//! end of the queue a bounded number of times (see [`RetryPolicy`] — no
+//! wall-clock backoff, and retry order never reaches a report, so two
 //! runs of the same campaign produce byte-identical reports); whatever
 //! still fails lands in the [`CampaignReport::failures`] ledger with its
 //! workload / technique / cause context while every other cell's result
@@ -28,40 +29,44 @@
 //! # Example
 //!
 //! ```no_run
-//! use pgss::{campaign, PgssSim, Smarts, Technique};
+//! use pgss::{campaign, CampaignConfig, PgssSim, Smarts, Technique};
 //!
 //! let workloads = vec![pgss_workloads::gzip(0.05), pgss_workloads::mesa(0.05)];
 //! let smarts = Smarts::new();
 //! let pgss = PgssSim::new();
 //! let techniques: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
 //! let jobs = campaign::grid(&workloads, &techniques, Default::default());
-//! let report = campaign::run(&jobs);
+//! let report = campaign::run_with(&jobs, &CampaignConfig::default())?;
 //! for cell in &report.cells {
 //!     println!("{} × {}: {:.3} IPC", cell.workload, cell.technique, cell.estimate.ipc);
 //! }
 //! for failure in &report.failures {
 //!     eprintln!("FAILED {failure}");
 //! }
+//! # Ok::<(), campaign::CampaignError>(())
 //! ```
 
 // One panicking cell must never take down a campaign: every fallible step
 // on this path reports through the ledger instead of unwrapping.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+mod scheduler;
+
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use pgss_ckpt::Store;
 use pgss_cpu::MachineConfig;
 use pgss_obs::{MetricsFrame, MetricsRecorder, MetricsReport, Recorder, Span};
-use pgss_stats::DetRng;
 use pgss_workloads::Workload;
 
+pub use scheduler::{Attempt, Claim, Scheduler, Settle};
+
 use crate::ckpt::{CheckpointLadder, LadderReport, LadderSpec, SimContext};
-use crate::driver::{RunTrace, Track};
+use crate::driver::RunTrace;
 use crate::estimate::{Estimate, Technique};
+use crate::wire::WireFailure;
 
 /// One campaign cell: a technique applied to a workload on a machine
 /// configuration.
@@ -221,39 +226,30 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Deterministic bounded retry for failed cells.
+/// Bounded retry for failed cells: a failed attempt goes back to the end
+/// of the [`Scheduler`]'s queue until the cell has used its attempts.
 ///
 /// Retries carry **no wall-clock backoff**: techniques are pure functions
 /// of their inputs, so a retry either deterministically succeeds (the
 /// fault was external — e.g. an injected or environmental panic) or
 /// deterministically fails again, and waiting would only slow the grid.
-/// The retry *order* is a seeded shuffle of the failed cells, so two runs
-/// with the same seed replay retries identically — reports are
-/// byte-identical — while not hammering cells in claim order.
+/// Reports hold no trace of retry order, so they stay byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per cell (first run included); 1 disables retry.
     pub max_attempts: u32,
-    /// Seed for the retry-order shuffle.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 2,
-            seed: 0x7067_7373, // "pgss"
-        }
+        RetryPolicy { max_attempts: 2 }
     }
 }
 
 impl RetryPolicy {
     /// No retries: one attempt per cell.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -262,13 +258,13 @@ impl RetryPolicy {
 /// The worker count is an **explicit field**, never read from the
 /// environment inside the library: callers that want the `PGSS_WORKERS`
 /// override resolve it once at their own boundary (see
-/// [`worker_threads`]) and pass the result here. That keeps every
-/// `run*` entry point a pure function of its arguments — embedders like
+/// [`worker_threads`]) and pass the result here. That keeps both entry
+/// points a pure function of their arguments — embedders like
 /// the campaign server pick worker counts per job without touching
 /// process-global state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
-    /// Worker threads for the claim loop; must be at least 1.
+    /// Worker threads claiming cells; must be at least 1.
     pub workers: usize,
     /// Retry policy for failed cells.
     pub retry: RetryPolicy,
@@ -315,7 +311,7 @@ impl CampaignConfig {
 /// failure ledger for everything else, and checkpointing accounting.
 ///
 /// The report is plain data with deterministic contents — equal campaigns
-/// (same jobs, same faults, same retry seed) produce `==`, byte-identical
+/// (same jobs, same faults) produce `==`, byte-identical
 /// reports regardless of thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
@@ -326,7 +322,7 @@ pub struct CampaignReport {
     pub failures: Vec<CellFailure>,
     /// Total retry attempts performed (0 for a fault-free campaign).
     pub retries: u64,
-    /// Checkpoint-acceleration accounting; all-zero for plain [`run`]s.
+    /// Checkpoint-acceleration accounting; all-zero for [`run_with`].
     pub ladder: LadderReport,
     /// Checkpoint-store faults healed or tolerated along the way:
     /// quarantined corrupt records, store I/O errors, failed write-backs,
@@ -416,32 +412,17 @@ impl CampaignReport {
     /// equivalence the server's tests pin. Line formats live in
     /// [`crate::wire`].
     pub fn canonical_jsonl(&self) -> String {
+        let frames = self
+            .metrics
+            .scopes
+            .iter()
+            .filter(|(name, _)| name != "campaign");
+        let cells = self.cells.iter().zip(frames.map(|(_, frame)| frame));
+        let failures: Vec<WireFailure> = self.failures.iter().map(WireFailure::from).collect();
         let mut out = String::new();
-        out.push_str(&crate::wire::canonical_header(
-            self.cells.len(),
-            self.failures.len(),
-            self.retries,
-        ));
-        out.push('\n');
-        for cell in &self.cells {
-            out.push_str(&crate::wire::canonical_cell_line(cell));
+        for line in crate::wire::canonical_lines(cells, &failures, self.retries) {
+            out.push_str(&line);
             out.push('\n');
-        }
-        for f in &self.failures {
-            out.push_str(&crate::wire::canonical_failure_line(
-                f.job_index,
-                &f.workload,
-                &f.technique,
-                f.attempts,
-                &f.error.to_string(),
-            ));
-            out.push('\n');
-        }
-        for (name, frame) in &self.metrics.scopes {
-            if name != "campaign" {
-                out.push_str(&pgss_obs::scope_line(name, frame));
-                out.push('\n');
-            }
         }
         out
     }
@@ -472,7 +453,7 @@ pub fn grid<'a>(
 /// the host's available parallelism. A set-but-invalid `PGSS_WORKERS` is
 /// reported once to stderr instead of being silently ignored.
 ///
-/// The library's `run*` entry points never call this — they take the
+/// The library's entry points never call this — they take the
 /// worker count from [`CampaignConfig`]. Binaries and examples that want
 /// the environment override resolve it here, once, and pass the result
 /// in: `CampaignConfig::with_workers(worker_threads())`.
@@ -545,24 +526,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs **one** campaign cell in full isolation: fresh recorder, fresh
 /// fault slot, `catch_unwind` around the technique, typed-fault-outranks-
 /// panic resolution. This is the single execution path for a cell — the
-/// claim-loop workers here and the campaign server's workers both call
+/// library's workers and the campaign server's workers both call
 /// it, so a cell's result and metric frame are bit-identical no matter
-/// which scheduler ran it.
+/// where it ran.
 ///
 /// The returned frame is the cell's **raw** driver frame; the
 /// estimate-derived counters are layered on separately (at finalize
 /// time here, at assembly time in the server) by
 /// [`annotate_cell_frame`].
 ///
-/// Only `ctx`'s ladder is inherited: the recorder and fault slot are
+/// Only the group `ladder` is shared: the recorder and fault slot are
 /// per-attempt, so faults never leak between cells or retries and a cell
 /// healed by retry carries exactly the metrics of its clean run.
-pub fn run_cell(job: &Job<'_>, ctx: &SimContext) -> Result<(CellResult, MetricsFrame), CellError> {
+pub fn execute_cell(
+    job: &Job<'_>,
+    ladder: Option<Arc<CheckpointLadder>>,
+) -> Result<(CellResult, MetricsFrame), CellError> {
     let workload = job.workload.name().to_string();
     let technique = job.technique.name();
     let rec = Arc::new(MetricsRecorder::new());
     let cell_ctx = SimContext {
-        ladder: ctx.ladder.clone(),
+        ladder,
         recorder: Arc::clone(&rec) as Arc<dyn Recorder>,
         // Fresh per cell: faults must not leak between cells or retry
         // attempts.
@@ -611,122 +595,125 @@ pub fn annotate_cell_frame(cell: &CellResult, frame: &mut MetricsFrame) {
     frame.add("cell.samples", cell.estimate.samples);
 }
 
-/// Runs the cells named by `order` (indices into `jobs`) on up to
-/// `threads` claim-loop workers, isolating each cell via [`run_cell`].
-/// Successes are appended to `results` together with the cell's metric
-/// frame, failures to `failed`; both keyed by job index, so callers can
-/// merge passes and sort once at the end.
-fn run_cells(
+/// Builds the ladder a [`Claim::Build`] asks for: loaded from `store`
+/// when it holds one, captured (and written back) otherwise. The capture
+/// pass runs arbitrary simulation, so it is isolated like a cell: a panic
+/// comes back as its message, and the group then runs unaccelerated —
+/// bit-identical results, only slower.
+pub fn build_ladder(
+    job: &Job<'_>,
+    spec: &LadderSpec,
+    store: Option<&Store>,
+) -> Result<CheckpointLadder, String> {
+    catch_unwind(AssertUnwindSafe(|| match store {
+        Some(st) => CheckpointLadder::load_or_capture(st, job.workload, &job.config, spec),
+        None => CheckpointLadder::capture(job.workload, &job.config, spec),
+    }))
+    .map_err(panic_message)
+}
+
+/// A finished campaign: its scheduler and each successful cell's result
+/// (job index, cell, raw frame), in completion order.
+type Ran = (Scheduler, Vec<(usize, CellResult, MetricsFrame)>);
+
+fn lock(sched: &Mutex<Scheduler>) -> MutexGuard<'_, Scheduler> {
+    sched.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `jobs` on `config.workers` scoped workers driving one
+/// [`Scheduler`]. With a `stride`, the calling thread builds the ladders
+/// (through `store`) while the workers run built groups' cells, so ladder
+/// memory and store traffic stay on one thread. Assumes a valid config.
+fn drive(
     jobs: &[Job<'_>],
-    order: &[usize],
-    threads: usize,
-    ctx: &SimContext,
-    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
-    failed: &mut Vec<(usize, CellError)>,
-) {
-    if order.is_empty() {
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
+    config: &CampaignConfig,
+    stride: Option<u64>,
+    store: Option<&Store>,
+) -> Ran {
+    let sched = Mutex::new(Scheduler::new(jobs, config.retry, stride));
+    let wake = Condvar::new();
+    let worker = |next: fn(&mut Scheduler) -> Option<Claim>| {
+        let worked = catch_unwind(AssertUnwindSafe(|| work(jobs, store, &sched, &wake, next)));
+        // A panic escaping cell isolation is a harness bug: cancel, so the
+        // other workers stop, then propagate.
+        worked.unwrap_or_else(|payload| {
+            lock(&sched).cancel();
+            wake.notify_all();
+            resume_unwind(payload)
+        })
+    };
+    let mut results = Vec::with_capacity(jobs.len());
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads.min(order.len()).max(1))
-            .map(|_| {
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut ok = Vec::new();
-                    let mut bad = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = order.get(k) else { break };
-                        match run_cell(&jobs[i], ctx) {
-                            Ok((cell, frame)) => ok.push((i, cell, frame)),
-                            Err(error) => bad.push((i, error)),
-                        }
-                    }
-                    (ok, bad)
-                })
-            })
+        let cells: Vec<_> = (0..config.workers.min(jobs.len()).max(1))
+            .map(|_| s.spawn(|| worker(Scheduler::claim_cell)))
             .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok((ok, bad)) => {
-                    results.extend(ok);
-                    failed.extend(bad);
-                }
-                // A panic escaping catch_unwind means the harness itself
-                // is broken (cell bookkeeping, not a technique): propagate.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        if stride.is_some() {
+            results.extend(worker(Scheduler::claim_build));
+        }
+        // Join explicitly: the scope's own join returns before the threads
+        // exit, so the next campaign's workers would open fresh allocator
+        // arenas instead of reusing these, growing peak RSS.
+        for handle in cells {
+            results.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
         }
     });
+    let sched = sched.into_inner().unwrap_or_else(PoisonError::into_inner);
+    (sched, results)
 }
 
-/// The isolation + retry engine shared by [`run_on`] and
-/// [`run_checkpointed`]: first pass over `order`, then up to
-/// `retry.max_attempts - 1` seeded-order retry passes over whatever
-/// failed, then a ledger for the rest.
-fn execute(
+/// One worker: claim, work outside the lock, hand back, until the
+/// campaign settles; returns the results it produced.
+fn work(
     jobs: &[Job<'_>],
-    order: &[usize],
-    threads: usize,
-    ctx: &SimContext,
-    retry: &RetryPolicy,
-    results: &mut Vec<(usize, CellResult, MetricsFrame)>,
-    report: &mut CampaignReport,
-) {
-    let mut failed: Vec<(usize, CellError)> = Vec::new();
-    run_cells(jobs, order, threads, ctx, results, &mut failed);
-    for attempt in 2..=retry.max_attempts {
-        if failed.is_empty() {
-            break;
-        }
-        // Deterministic, seeded retry order: canonical (sorted) base,
-        // shuffled by (seed, attempt) — reproducible run to run.
-        let mut again: Vec<usize> = failed.iter().map(|&(i, _)| i).collect();
-        again.sort_unstable();
-        let mut rng = DetRng::seed_from_u64(
-            retry
-                .seed
-                .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        rng.shuffle(&mut again);
-        report.retries += again.len() as u64;
-        failed.clear();
-        run_cells(jobs, &again, threads, ctx, results, &mut failed);
-    }
-    failed.sort_unstable_by_key(|&(i, _)| i);
-    report
-        .failures
-        .extend(failed.into_iter().map(|(job_index, error)| {
-            let job = &jobs[job_index];
-            CellFailure {
-                job_index,
-                workload: job.workload.name().to_string(),
-                technique: job.technique.name(),
-                attempts: retry.max_attempts,
-                error,
+    store: Option<&Store>,
+    sched: &Mutex<Scheduler>,
+    wake: &Condvar,
+    next: fn(&mut Scheduler) -> Option<Claim>,
+) -> Vec<(usize, CellResult, MetricsFrame)> {
+    let mut results = Vec::new();
+    let mut guard = lock(sched);
+    loop {
+        let Some(claim) = next(&mut guard) else {
+            if guard.is_settled() || guard.is_cancelled() {
+                return results;
             }
-        }));
+            guard = wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+            continue;
+        };
+        drop(guard);
+        match claim {
+            Claim::Build { group, cell, spec } => {
+                let built = build_ladder(&jobs[cell], &spec, store);
+                guard = lock(sched);
+                guard.finish_build(group, built);
+            }
+            Claim::Cell { attempt, ladder } => {
+                let outcome = execute_cell(&jobs[attempt.cell], ladder);
+                guard = lock(sched);
+                if let Settle::Done((cell, frame)) = guard.finish_cell(attempt, outcome) {
+                    results.push((attempt.cell, cell, frame));
+                }
+            }
+        }
+        wake.notify_all();
+    }
 }
 
-/// Folds per-cell metric frames and the campaign-level recorder into
-/// `report`: cells are sorted into job order, fold-time cell counters
-/// (logical mode ops, sample counts) and the campaign-wide detail-share
-/// distribution are derived from the estimates, and the metrics report is
-/// assembled as the `"campaign"` scope followed by one scope per cell.
+/// Folds a finished run into its report: cells sorted into job order,
+/// fold-time cell counters (logical mode ops, sample counts) and the
+/// campaign-wide detail-share distribution derived from the estimates,
+/// and the metrics assembled as the `"campaign"` scope followed by one
+/// scope per cell.
 ///
 /// Everything here runs on the campaign thread in job order — Welford
 /// folding order is part of the determinism contract, so the same cells
 /// produce the same bytes no matter how many workers computed them.
-fn finalize(
-    report: &mut CampaignReport,
-    mut results: Vec<(usize, CellResult, MetricsFrame)>,
-    campaign_rec: &MetricsRecorder,
-) {
+fn finalize((sched, mut results): Ran, campaign_rec: &MetricsRecorder) -> CampaignReport {
     results.sort_unstable_by_key(|&(i, _, _)| i);
+    let failures = sched.failures().to_vec();
     campaign_rec.add("campaign.cells.ok", results.len() as u64);
-    campaign_rec.add("campaign.cells.failed", report.failures.len() as u64);
-    campaign_rec.add("campaign.retries", report.retries);
+    campaign_rec.add("campaign.cells.failed", failures.len() as u64);
+    campaign_rec.add("campaign.retries", sched.retries());
     campaign_rec.register_hist("campaign.detail_share", 0.0, 1.0, 20);
     for (_, cell, frame) in &mut results {
         let ops = cell.estimate.mode_ops;
@@ -739,83 +726,45 @@ fn finalize(
     }
     let mut metrics = MetricsReport::new();
     metrics.push_scope("campaign", campaign_rec.frame());
-    report.cells = results
+    let cells = results
         .into_iter()
         .map(|(_, cell, frame)| {
             metrics.push_scope(format!("{}/{}", cell.workload, cell.technique), frame);
             cell
         })
         .collect();
-    report.metrics = metrics;
-}
-
-/// The plain-campaign core shared by [`run`], [`run_on`], and
-/// [`run_on_with`]; assumes a validated config.
-fn run_validated(jobs: &[Job<'_>], config: &CampaignConfig) -> CampaignReport {
-    let mut report = CampaignReport::default();
-    let campaign_rec = MetricsRecorder::new();
-    campaign_rec.add("campaign.jobs", jobs.len() as u64);
-    let order: Vec<usize> = (0..jobs.len()).collect();
-    let mut results = Vec::with_capacity(jobs.len());
-    {
-        let _span = Span::enter(&campaign_rec, "campaign.run");
-        execute(
-            jobs,
-            &order,
-            config.workers.max(1),
-            &SimContext::none(),
-            &config.retry,
-            &mut results,
-            &mut report,
-        );
+    CampaignReport {
+        cells,
+        failures,
+        retries: sched.retries(),
+        ladder: sched.ladder_report(),
+        checkpoint_faults: sched.checkpoint_faults().to_vec(),
+        metrics,
     }
-    finalize(&mut report, results, &campaign_rec);
-    report
-}
-
-/// Runs `jobs` with the default [`CampaignConfig`] (host parallelism,
-/// default retry). See [`run_with`]; infallible because the default
-/// config is valid by construction.
-pub fn run(jobs: &[Job<'_>]) -> CampaignReport {
-    run_validated(jobs, &CampaignConfig::default())
 }
 
 /// Runs `jobs` under an explicit [`CampaignConfig`], returning a
 /// [`CampaignReport`] whose successful cells are **in job order** —
 /// output is identical for any worker count.
 ///
-/// Workers claim the next unclaimed job from an atomic cursor, so long
-/// cells (FullDetailed on the largest workload) never leave other workers
-/// idle behind a static partition. A panicking technique costs only its
-/// own cell (see the module docs); `workers == 0` or a zero-attempt retry
-/// policy is reported as [`CampaignError::InvalidConfig`].
+/// Workers claim the next pending cell from the campaign's
+/// [`Scheduler`], so long cells (FullDetailed on the largest workload)
+/// never leave other workers idle behind a static partition. A panicking
+/// technique costs only its own cell (see the module docs); `workers ==
+/// 0` or a zero-attempt retry policy is reported as
+/// [`CampaignError::InvalidConfig`].
 pub fn run_with(
     jobs: &[Job<'_>],
     config: &CampaignConfig,
 ) -> Result<CampaignReport, CampaignError> {
     config.validate()?;
-    Ok(run_validated(jobs, config))
-}
-
-/// Runs `jobs` on `threads` worker threads with the default
-/// [`RetryPolicy`]. See [`run_with`].
-pub fn run_on(jobs: &[Job<'_>], threads: usize) -> Result<CampaignReport, CampaignError> {
-    run_on_with(jobs, threads, &RetryPolicy::default())
-}
-
-/// [`run_on`] with an explicit [`RetryPolicy`]. See [`run_with`].
-pub fn run_on_with(
-    jobs: &[Job<'_>],
-    threads: usize,
-    retry: &RetryPolicy,
-) -> Result<CampaignReport, CampaignError> {
-    run_with(
-        jobs,
-        &CampaignConfig {
-            workers: threads,
-            retry: *retry,
-        },
-    )
+    let campaign_rec = MetricsRecorder::new();
+    campaign_rec.add("campaign.jobs", jobs.len() as u64);
+    let run = {
+        let _span = Span::enter(&campaign_rec, "campaign.run");
+        drive(jobs, config, None, None)
+    };
+    Ok(finalize(run, &campaign_rec))
 }
 
 /// Runs `jobs` with checkpoint acceleration: each distinct
@@ -826,9 +775,9 @@ pub fn run_on_with(
 /// whose drivers then restore instead of re-executing functional
 /// stretches.
 ///
-/// Results are **identical** to [`run`] on the same jobs — estimates,
-/// traces, ordering — because driver jumps are bit-exact and logically
-/// charged; only the physical work changes, summarised in
+/// Results are **identical** to [`run_with`] on the same jobs —
+/// estimates, traces, ordering — because driver jumps are bit-exact and
+/// logically charged; only the physical work changes, summarised in
 /// [`CampaignReport::ladder`] (capture cost, jumps, skipped vs. executed
 /// ops, and [`LadderReport::executed_ratio`]).
 ///
@@ -839,22 +788,10 @@ pub fn run_on_with(
 /// I/O errors fall back to capture, and a panicking capture pass demotes
 /// its group to unaccelerated execution — each event is recorded in
 /// [`CampaignReport::checkpoint_faults`], and none of them changes any
-/// cell's bits. Groups are processed sequentially so at most one
-/// workload's ladder is resident; cells within a group run on the
-/// configured worker count ([`CampaignConfig::workers`]).
+/// cell's bits. The [`Scheduler`] builds ladders one at a time in group
+/// order and drops each once its group's last cell settles.
 ///
 /// `stride == 0` is reported as [`CampaignError::InvalidConfig`].
-pub fn run_checkpointed(
-    jobs: &[Job<'_>],
-    stride: u64,
-    store: Option<&Store>,
-) -> Result<CampaignReport, CampaignError> {
-    run_checkpointed_with(jobs, stride, store, &CampaignConfig::default())
-}
-
-/// [`run_checkpointed`] under an explicit [`CampaignConfig`] — the fully
-/// parameterised checkpoint-accelerated entry point (no environment
-/// reads; see [`CampaignConfig`]).
 pub fn run_checkpointed_with(
     jobs: &[Job<'_>],
     stride: u64,
@@ -868,103 +805,33 @@ pub fn run_checkpointed_with(
             reason: "checkpoint ladders need a positive rung stride".to_string(),
         });
     }
-    let mut report = CampaignReport::default();
     if jobs.is_empty() {
-        return Ok(report);
+        return Ok(CampaignReport::default());
     }
     let campaign_rec = Arc::new(MetricsRecorder::new());
     campaign_rec.add("campaign.jobs", jobs.len() as u64);
     // Route the store's hit/miss/quarantine/byte counters into the
-    // campaign scope. All store traffic happens on this thread (groups
-    // are processed sequentially), so the counters are deterministic.
+    // campaign scope. Only ladder builds touch the store, one at a time,
+    // so the counters are deterministic.
     let store = store.map(|st| st.clone().with_recorder(Arc::clone(&campaign_rec) as _));
-    let store = store.as_ref();
-    let threads = config.workers.max(1);
-    let retry = config.retry;
-    // Group cells sharing a workload and configuration; each group shares
-    // one ladder.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match groups.iter_mut().find(|g| {
-            let j = &jobs[g[0]];
-            std::ptr::eq(j.workload, job.workload) && j.config == job.config
-        }) {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    campaign_rec.add("campaign.groups", groups.len() as u64);
-    let mut results: Vec<(usize, CellResult, MetricsFrame)> = Vec::with_capacity(jobs.len());
-    let campaign_span = Span::enter(&*campaign_rec, "campaign.run");
-    for group in &groups {
-        let first = &jobs[group[0]];
-        let mut hashed_seeds: Vec<u64> = Vec::new();
-        let mut with_full = false;
-        for &i in group {
-            for t in jobs[i].technique.tracks() {
-                match t {
-                    Track::Hashed(s) if !hashed_seeds.contains(&s) => hashed_seeds.push(s),
-                    Track::Full => with_full = true,
-                    _ => {}
-                }
-            }
-        }
-        let spec = LadderSpec {
-            stride,
-            hashed_seeds,
-            with_full,
-        };
-        // The capture pass runs arbitrary simulation; isolate it like a
-        // cell. On panic the group gracefully degrades to unaccelerated
-        // execution — bit-identical results, only slower.
-        let captured = catch_unwind(AssertUnwindSafe(|| match store {
-            Some(st) => CheckpointLadder::load_or_capture(st, first.workload, &first.config, &spec),
-            None => CheckpointLadder::capture(first.workload, &first.config, &spec),
-        }));
-        let (ctx, ladder) = match captured {
-            Ok(ladder) => {
-                report
-                    .checkpoint_faults
-                    .extend(ladder.fault_log().iter().cloned());
-                let ladder = Arc::new(ladder);
-                (SimContext::with_ladder(Arc::clone(&ladder)), Some(ladder))
-            }
-            Err(payload) => {
-                report.checkpoint_faults.push(format!(
-                    "{}: checkpoint capture panicked: {}; group ran unaccelerated",
-                    first.workload.name(),
-                    panic_message(payload)
-                ));
-                (SimContext::none(), None)
-            }
-        };
-        execute(
-            jobs,
-            group,
-            threads,
-            &ctx,
-            &retry,
-            &mut results,
-            &mut report,
-        );
-        if let Some(ladder) = ladder {
-            report.ladder.merge(&ladder.report());
-        }
-    }
-    drop(campaign_span);
+    let (sched, results) = {
+        let _span = Span::enter(&*campaign_rec, "campaign.run");
+        drive(jobs, config, Some(stride), store.as_ref())
+    };
     // Mirror the ladder accounting as campaign-scope counters so the
     // JSONL export carries the acceleration story alongside the cells.
-    campaign_rec.add("ckpt.ladder.jumps", report.ladder.jumps);
-    campaign_rec.add("ckpt.ladder.skipped_ops", report.ladder.skipped_ops);
-    campaign_rec.add("ckpt.ladder.executed_ops", report.ladder.executed_ops);
-    campaign_rec.add("ckpt.ladder.capture_ops", report.ladder.capture_ops);
+    let ladder = sched.ladder_report();
+    let groups = sched.ladder_specs().count();
+    campaign_rec.add("campaign.groups", groups as u64);
+    campaign_rec.add("ckpt.ladder.jumps", ladder.jumps);
+    campaign_rec.add("ckpt.ladder.skipped_ops", ladder.skipped_ops);
+    campaign_rec.add("ckpt.ladder.executed_ops", ladder.executed_ops);
+    campaign_rec.add("ckpt.ladder.capture_ops", ladder.capture_ops);
     campaign_rec.add(
         "campaign.checkpoint_faults",
-        report.checkpoint_faults.len() as u64,
+        sched.checkpoint_faults().len() as u64,
     );
-    report.failures.sort_unstable_by_key(|f| f.job_index);
-    finalize(&mut report, results, &campaign_rec);
-    Ok(report)
+    Ok(finalize((sched, results), &campaign_rec))
 }
 
 #[cfg(test)]
@@ -973,7 +840,7 @@ pub fn run_checkpointed_with(
 mod tests {
     use super::*;
     use crate::{PgssSim, Smarts, TurboSmarts};
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn suite() -> Vec<Workload> {
         vec![
@@ -1082,7 +949,7 @@ mod tests {
         let healthy = pgss_workloads::gzip(0.01);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&faulty, &smarts), Job::new(&healthy, &smarts)];
-        let report = run_on(&jobs, 2).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap();
         assert_eq!(report.failures.len(), 1);
         let failure = &report.failures[0];
         assert_eq!(failure.workload, "faulty");
@@ -1119,8 +986,8 @@ mod tests {
         let (smarts, turbo, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &turbo, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let serial = run_on(&jobs, 1).unwrap();
-        let parallel = run_on(&jobs, 4).unwrap();
+        let serial = run_with(&jobs, &CampaignConfig::with_workers(1)).unwrap();
+        let parallel = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(serial, parallel);
         assert!(serial.is_complete());
         assert_eq!(serial.retries, 0);
@@ -1138,7 +1005,7 @@ mod tests {
         let w = pgss_workloads::gzip(0.01);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let report = run(&jobs);
+        let report = run_with(&jobs, &CampaignConfig::default()).unwrap();
         let (estimate, trace) = smarts.run_traced(&w, &MachineConfig::default());
         assert_eq!(report.cells[0].estimate, estimate);
         assert_eq!(report.cells[0].trace, trace);
@@ -1152,8 +1019,11 @@ mod tests {
 
     #[test]
     fn empty_campaign_is_empty() {
-        assert!(run_on(&[], 8).unwrap().cells.is_empty());
-        let report = run_checkpointed(&[], 100_000, None).unwrap();
+        assert!(run_with(&[], &CampaignConfig::with_workers(8))
+            .unwrap()
+            .cells
+            .is_empty());
+        let report = run_checkpointed_with(&[], 100_000, None, &CampaignConfig::default()).unwrap();
         assert!(report.cells.is_empty());
         assert!(report.is_complete());
         assert_eq!(report.ladder, crate::ckpt::LadderReport::default());
@@ -1165,8 +1035,8 @@ mod tests {
         let (smarts, turbo, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &turbo, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let plain = run(&jobs);
-        let fast = run_checkpointed(&jobs, 25_000, None).unwrap();
+        let plain = run_with(&jobs, &CampaignConfig::default()).unwrap();
+        let fast = run_checkpointed_with(&jobs, 25_000, None, &CampaignConfig::default()).unwrap();
         assert_eq!(
             plain.cells, fast.cells,
             "acceleration must not change any cell"
@@ -1199,8 +1069,8 @@ mod tests {
         let (smarts, _, pgss) = techniques();
         let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let a = run_on(&jobs, 1).unwrap();
-        let b = run_on(&jobs, 4).unwrap();
+        let a = run_with(&jobs, &CampaignConfig::with_workers(1)).unwrap();
+        let b = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(a.metrics, b.metrics, "metrics must not depend on workers");
         assert_eq!(a.metrics.to_jsonl(), b.metrics.to_jsonl());
 
@@ -1246,7 +1116,7 @@ mod tests {
         let w = pgss_workloads::twolf(0.002);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let err = run_on(&jobs, 0).unwrap_err();
+        let err = run_with(&jobs, &CampaignConfig::with_workers(0)).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1255,15 +1125,11 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("at least one worker"));
-        let err = run_on_with(
-            &jobs,
-            2,
-            &RetryPolicy {
-                max_attempts: 0,
-                seed: 0,
-            },
-        )
-        .unwrap_err();
+        let config = CampaignConfig {
+            workers: 2,
+            retry: RetryPolicy { max_attempts: 0 },
+        };
+        let err = run_with(&jobs, &config).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1278,7 +1144,7 @@ mod tests {
         let w = pgss_workloads::twolf(0.002);
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
-        let err = run_checkpointed(&jobs, 0, None).unwrap_err();
+        let err = run_checkpointed_with(&jobs, 0, None, &CampaignConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             CampaignError::InvalidConfig {
@@ -1299,7 +1165,7 @@ mod tests {
         };
         let techs: Vec<&(dyn Technique + Sync)> = vec![&exploder, &smarts];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let report = run_on(&jobs, 4).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
 
         // Exactly the poisoned cell failed, after the full retry budget.
         assert_eq!(report.failures.len(), 1);
@@ -1321,7 +1187,7 @@ mod tests {
         assert!(report.into_cells().is_err());
 
         // Every other cell is bit-identical to a direct, fault-free run.
-        let report = run_on(&jobs, 4).unwrap();
+        let report = run_with(&jobs, &CampaignConfig::with_workers(4)).unwrap();
         assert_eq!(report.cells.len(), jobs.len() - 1);
         for cell in &report.cells {
             let w = workloads
@@ -1351,7 +1217,7 @@ mod tests {
             };
             let techs: Vec<&(dyn Technique + Sync)> = vec![&flaky];
             let jobs = grid(&workloads, &techs, MachineConfig::default());
-            run_on(&jobs, 2).unwrap()
+            run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap()
         };
         let report = run_once();
         assert!(report.is_complete(), "retry must heal a transient fault");
@@ -1362,7 +1228,7 @@ mod tests {
         let (estimate, trace) = smarts.run_traced(&workloads[2], &MachineConfig::default());
         assert_eq!(report.cells[2].estimate, estimate);
         assert_eq!(report.cells[2].trace, trace);
-        // Same faults, same seed: byte-identical reports.
+        // Same faults: byte-identical reports.
         let second = run_once();
         assert_eq!(report, second);
         assert_eq!(format!("{report:?}"), format!("{second:?}"));
@@ -1380,11 +1246,11 @@ mod tests {
         };
         let techs: Vec<&(dyn Technique + Sync)> = vec![&flaky];
         let jobs = grid(&workloads, &techs, MachineConfig::default());
-        let retry = RetryPolicy {
-            max_attempts: 3,
-            seed: 7,
+        let config = CampaignConfig {
+            workers: 2,
+            retry: RetryPolicy { max_attempts: 3 },
         };
-        let report = run_on_with(&jobs, 2, &retry).unwrap();
+        let report = run_with(&jobs, &config).unwrap();
         assert_eq!(report.failures.len(), 1);
         assert_eq!(report.failures[0].attempts, 3);
         assert_eq!(report.retries, 2, "two retry passes over the one cell");

@@ -14,8 +14,10 @@
 //! 3. [`crate::driver::SimDriver`] — restores snapshots and, when a
 //!    ladder is attached, *jumps* over functional segments by restoring
 //!    the highest rung inside the segment instead of executing it.
-//! 4. [`crate::campaign::run_checkpointed`] — captures each workload's
-//!    ladder once and fans restores out to every technique in the grid.
+//! 4. [`crate::campaign::run_checkpointed_with`] — builds each workload's
+//!    ladder once (the campaign [`crate::campaign::Scheduler`] hands the
+//!    build to one worker) and fans restores out to every technique in
+//!    the grid.
 //!
 //! This is the paper's TurboSMARTS idea (SMARTS with live-state
 //! checkpoints) generalised: any pass that functionally fast-forwards —
@@ -983,6 +985,9 @@ mod tests {
 
     #[test]
     fn ladder_store_roundtrip_and_corruption_fallback() {
+        // No other test's fault plan may fire on this store.
+        #[cfg(feature = "fault-inject")]
+        let _serial = crate::faults::serialize();
         let dir = std::env::temp_dir().join(format!("pgss-ladder-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).unwrap();

@@ -8,9 +8,11 @@
 //!
 //! Like the store layer, this module is test-only machinery: it compiles
 //! away without the feature, and an installed plan is process-global, so
-//! tests that inject faults serialize on the shared
-//! [`pgss_ckpt::faults::serialize`] lock (taken by [`install`] and held
-//! by the returned guard).
+//! tests that inject faults serialize on the shared, reentrant
+//! [`serialize`] lock (taken by [`install`] and held by the returned
+//! guard). A test that runs a campaign or touches a store outside its
+//! guard holds [`serialize`] for its whole body, so no other test's plan
+//! fires on its cells or store operations.
 //!
 //! ```no_run
 //! use pgss::faults::{self, CellPanic, FaultPlan};
@@ -32,7 +34,7 @@
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-pub use pgss_ckpt::faults::{injection_log, StoreFaultPlan};
+pub use pgss_ckpt::faults::{injection_log, serialize, SerialGuard, StoreFaultPlan};
 
 use crate::campaign::INJECTED_PANIC_TAG;
 
@@ -98,7 +100,7 @@ fn stalls() -> MutexGuard<'static, Vec<CellStall>> {
 /// Clears the installed plan (both layers) when dropped, and releases
 /// the process-wide fault-injection serialization lock.
 pub struct FaultGuard {
-    _serial: MutexGuard<'static, ()>,
+    _serial: SerialGuard,
 }
 
 impl Drop for FaultGuard {
@@ -113,12 +115,11 @@ impl Drop for FaultGuard {
 }
 
 /// Installs `plan` process-wide and returns a guard that uninstalls it on
-/// drop. Takes the shared [`pgss_ckpt::faults::serialize`] lock so
-/// concurrent fault-injecting tests (in any crate) cannot interleave
-/// plans.
+/// drop. Takes the shared [`serialize`] lock so concurrent
+/// fault-injecting tests (in any crate) cannot interleave plans.
 pub fn install(plan: FaultPlan) -> FaultGuard {
     crate::campaign::silence_injected_panic_reports();
-    let serial = pgss_ckpt::faults::serialize();
+    let serial = serialize();
     pgss_ckpt::faults::set_plan(plan.store);
     let stalling = !plan.cell_stalls.is_empty();
     *cells() = plan.cell_panics;

@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 
 use pgss_ckpt::{CodecError, Decoder, Encoder};
 use pgss_cpu::ModeOps;
-use pgss_obs::{json_f64, json_string, MetricsFrame, SpanStat};
+use pgss_obs::{json_f64, json_string, scope_line, MetricsFrame, SpanStat};
 use pgss_stats::{ConfidenceInterval, Histogram, Welford};
 
 use crate::campaign::{CellFailure, CellResult};
@@ -302,6 +302,18 @@ pub struct WireFailure {
     pub error: String,
 }
 
+impl From<&CellFailure> for WireFailure {
+    fn from(f: &CellFailure) -> WireFailure {
+        WireFailure {
+            job_index: f.job_index,
+            workload: f.workload.clone(),
+            technique: f.technique.clone(),
+            attempts: f.attempts,
+            error: f.error.to_string(),
+        }
+    }
+}
+
 /// Decodes an entry written by [`put_failure`].
 pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
     Ok(WireFailure {
@@ -316,6 +328,31 @@ pub fn get_failure(d: &mut Decoder<'_>) -> Result<WireFailure, CodecError> {
 
 // ---------------------------------------------------------------------------
 // Canonical campaign artifact
+
+/// The whole artifact, line by line: the header, each successful cell
+/// (in job order), the failure ledger, then each cell's annotated metric
+/// scope — what [`crate::CampaignReport::canonical_jsonl`] and the
+/// campaign server's `report` verb both emit.
+pub fn canonical_lines<'a>(
+    cells: impl IntoIterator<Item = (&'a CellResult, &'a MetricsFrame)>,
+    failures: &[WireFailure],
+    retries: u64,
+) -> Vec<String> {
+    let (cells, scopes): (Vec<String>, Vec<String>) = cells
+        .into_iter()
+        .map(|(cell, frame)| {
+            let scope = format!("{}/{}", cell.workload, cell.technique);
+            (canonical_cell_line(cell), scope_line(&scope, frame))
+        })
+        .unzip();
+    let mut lines = vec![canonical_header(cells.len(), failures.len(), retries)];
+    lines.extend(cells);
+    lines.extend(failures.iter().map(|f| {
+        canonical_failure_line(f.job_index, &f.workload, &f.technique, f.attempts, &f.error)
+    }));
+    lines.extend(scopes);
+    lines
+}
 
 /// The artifact's header line: campaign-level counts.
 pub fn canonical_header(cells: usize, failed: usize, retries: u64) -> String {

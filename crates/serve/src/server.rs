@@ -5,13 +5,14 @@
 //!
 //! One accept thread hands connections to per-connection handler threads
 //! speaking the line-delimited JSON protocol (see [`crate::client`]). A
-//! fixed pool of worker threads shares a single scheduler state under one
-//! mutex: workers claim *cells* (or checkpoint-ladder builds) from the
-//! job that the round-robin cursor reaches first, so a long campaign
-//! never starves a short one — idle workers steal whatever runnable cell
-//! any job has, subject to per-tenant concurrency quotas.
+//! fixed pool of worker threads shares one mutex over every job's
+//! [`pgss::campaign::Scheduler`] (the library runner's, too): workers
+//! claim *cells* (or checkpoint-ladder builds) from the job that the
+//! round-robin cursor reaches first, so a long campaign never starves a
+//! short one — idle workers steal whatever runnable cell any job has,
+//! subject to per-tenant concurrency quotas.
 //!
-//! Every cell executes through [`pgss::campaign::run_cell`] — the same
+//! Every cell executes through [`pgss::campaign::execute_cell`] — the same
 //! isolation + typed-fault path the library's own campaign runner uses —
 //! with the cell's group ladder attached, so a server-side cell is
 //! bit-identical to a library-side one. Completed cells are persisted
@@ -43,10 +44,11 @@
 //! The server is *crash-only*: it assumes it can die at any instant, so
 //! the extra machinery here only bounds resources, never adds state that
 //! must survive. Every claimed cell holds a lease (a deadline on the
-//! injected [`pgss_obs::Clock`]); a watchdog thread reaps overdue cells
-//! into the failure ledger as [`pgss::campaign::CellError::DeadlineExceeded`]
-//! (retrying first, like any other cell error) and remembers the reap so
-//! a zombie worker's late result is discarded — a wedged worker costs one
+//! injected [`pgss_obs::Clock`]); a watchdog thread has each job's
+//! scheduler reap overdue cells into the failure ledger as
+//! [`pgss::campaign::CellError::DeadlineExceeded`] (retrying first, like
+//! any other cell error), and a zombie worker's late result is
+//! discarded — a wedged worker costs one
 //! pool slot until release, never correctness. Connections get read
 //! deadlines, a line-length cap, and a connection cap; saturation answers
 //! are typed `busy` rejections carrying `retry_after_ms`, never parked
@@ -59,20 +61,21 @@
 // would turn one bad record or request into a dead daemon.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use pgss::campaign::{annotate_cell_frame, run_cell, CellError, CellResult};
+use pgss::campaign::{
+    annotate_cell_frame, build_ladder, execute_cell, Attempt, CellResult, Claim, Scheduler, Settle,
+};
 use pgss::wire::{self, WireFailure};
-use pgss::{CheckpointLadder, LadderSpec, RetryPolicy, SimContext, Track};
+use pgss::{CheckpointLadder, LadderSpec, RetryPolicy};
 use pgss_ckpt::{index_key, job_key, JobRecordKind, RecordError, Store};
 use pgss_obs::{
     json_string, scope_line, Clock, MetricsFrame, MetricsRecorder, MonotonicClock, Recorder,
@@ -111,8 +114,8 @@ pub struct ServeConfig {
     /// [`pgss::CampaignConfig`], this is explicit — resolve
     /// `PGSS_WORKERS` at the CLI boundary if you want the override.
     pub workers: usize,
-    /// Retry policy applied to failing cells (the retry *count*
-    /// semantics match the library runner's).
+    /// Retry policy applied to failing cells, by the same
+    /// [`pgss::campaign::Scheduler`] the library runner uses.
     pub retry: RetryPolicy,
     /// Quota for tenants without an explicit entry in `quotas`.
     pub default_quota: TenantQuota,
@@ -287,43 +290,64 @@ enum WatchMsg {
     End(String),
 }
 
-enum LadderState {
-    NotBuilt,
-    Building,
-    /// `None` means the build panicked and the group runs unaccelerated,
-    /// exactly like the library runner's degradation path.
-    Ready(Option<Arc<CheckpointLadder>>),
-}
-
 struct JobState {
     tenant: String,
-    mat: Option<Arc<Materialized>>,
+    mat: Arc<Materialized>,
     phase: JobPhase,
-    total: usize,
+    sched: Scheduler,
+    /// Cells whose result record is written.
     done: Vec<bool>,
     done_count: usize,
-    pending: VecDeque<usize>,
-    /// Failed attempts so far, per still-retriable cell.
-    attempts: BTreeMap<usize, u32>,
-    inflight: usize,
-    cancelled: bool,
-    retries: u64,
-    failures: Vec<WireFailure>,
-    groups: Vec<LadderState>,
+    /// Retries and failures recorded before this server resumed the job.
+    prior_retries: u64,
+    prior_failures: Vec<WireFailure>,
     watchers: Vec<mpsc::Sender<WatchMsg>>,
     started: Option<Instant>,
-    /// Lease expiry (clock ns) per in-flight cell, when supervision is on.
-    leases: BTreeMap<usize, u64>,
-    /// Cells the watchdog reaped whose worker has not returned yet; the
-    /// late result is discarded when it does.
-    reaped: BTreeSet<usize>,
 }
 
 impl JobState {
-    fn settled(&self) -> bool {
-        self.done_count + self.failures.len() == self.total
-            && self.pending.is_empty()
-            && self.inflight == 0
+    /// A job over `mat` whose `done` cells have result records and whose
+    /// `status` holds the phase, retries and failures recorded so far.
+    fn new(
+        cfg: &ServeConfig,
+        tenant: String,
+        mat: Arc<Materialized>,
+        done: Vec<bool>,
+        status: StatusRecord,
+    ) -> JobState {
+        let sched = Scheduler::new(&mat.jobs(), cfg.retry, Some(mat.stride));
+        let sched = match cfg.lease_deadline_ns {
+            Some(ns) => sched.with_lease(ns, Arc::clone(&cfg.clock)),
+            None => sched,
+        };
+        let finished = (0..done.len()).filter(|&i| done[i]);
+        let failed = status.failures.iter().map(|f| f.job_index);
+        JobState {
+            tenant,
+            phase: status.phase,
+            sched: sched.with_finished(finished.chain(failed)),
+            done_count: done.iter().filter(|&&d| d).count(),
+            mat,
+            done,
+            prior_retries: status.retries,
+            prior_failures: status.failures,
+            watchers: Vec::new(),
+            started: None,
+        }
+    }
+
+    /// The durable status: what a resume found plus what the scheduler
+    /// has counted since, failures in job order.
+    fn status(&self) -> StatusRecord {
+        let mut failures = self.prior_failures.clone();
+        failures.extend(self.sched.failures().iter().map(WireFailure::from));
+        failures.sort_unstable_by_key(|f| f.job_index);
+        let (phase, retries) = (self.phase, self.prior_retries + self.sched.retries());
+        StatusRecord {
+            phase,
+            retries,
+            failures,
+        }
     }
 }
 
@@ -351,56 +375,6 @@ struct Inner {
     addr: OnceLock<BoundAddr>,
 }
 
-enum WorkItem {
-    Build { id: u64, group: usize },
-    Cell { id: u64, cell: usize },
-}
-
-/// The cell's [`pgss::Job`]: canonical order is workload-major, then
-/// configuration, then technique.
-fn cell_job(mat: &Materialized, i: usize) -> pgss::Job<'_> {
-    let t = mat.techniques.len();
-    let c = mat.configs.len();
-    let (w, rem) = (i / (c * t), i % (c * t));
-    pgss::Job {
-        workload: &mat.workloads[w],
-        technique: &*mat.techniques[rem % t],
-        config: mat.configs[rem / t],
-    }
-}
-
-/// The (workload × config) ladder group a cell belongs to; cells of a
-/// group are contiguous in cell order.
-fn cell_group(mat: &Materialized, i: usize) -> usize {
-    i / mat.techniques.len()
-}
-
-fn group_count(mat: &Materialized) -> usize {
-    mat.workloads.len() * mat.configs.len()
-}
-
-/// The ladder spec shared by every group of a job: BBV tracks collected
-/// over the techniques in first-appearance order, mirroring the library
-/// runner so ladder content addresses (and rungs) are identical.
-fn ladder_spec(mat: &Materialized) -> LadderSpec {
-    let mut hashed_seeds: Vec<u64> = Vec::new();
-    let mut with_full = false;
-    for t in &mat.techniques {
-        for track in t.tracks() {
-            match track {
-                Track::Hashed(s) if !hashed_seeds.contains(&s) => hashed_seeds.push(s),
-                Track::Full => with_full = true,
-                _ => {}
-            }
-        }
-    }
-    LadderSpec {
-        stride: mat.stride,
-        hashed_seeds,
-        with_full,
-    }
-}
-
 fn render_job_id(id: u64) -> String {
     format!("{id:016x}")
 }
@@ -421,16 +395,8 @@ impl Inner {
     }
 
     fn write_status(&self, id: u64, job: &JobState) {
-        let record = StatusRecord {
-            phase: job.phase,
-            retries: job.retries,
-            failures: job.failures.clone(),
-        };
-        if self
-            .store
-            .put(job_key(JobRecordKind::Status, id, 0), &record.encode())
-            .is_err()
-        {
+        let key = job_key(JobRecordKind::Status, id, 0);
+        if self.store.put(key, &job.status().encode()).is_err() {
             self.rec.add("serve.store.put_failed", 1);
         }
     }
@@ -439,7 +405,7 @@ impl Inner {
         st.jobs
             .values()
             .filter(|j| j.tenant == tenant)
-            .map(|j| j.inflight)
+            .map(|j| j.sched.running())
             .sum()
     }
 
@@ -450,7 +416,7 @@ impl Inner {
             .count()
     }
 
-    fn find_work(&self, st: &mut State) -> Option<WorkItem> {
+    fn find_work(&self, st: &mut State) -> Option<(u64, Arc<Materialized>, Claim)> {
         if self.draining.load(Ordering::SeqCst) {
             // Draining: nothing new is claimed; pending cells stay
             // durable for the next server run.
@@ -460,57 +426,32 @@ impl Inner {
         for k in 0..n {
             let idx = (st.rr + k) % n;
             let id = st.order[idx];
-            let Some(job) = st.jobs.get(&id) else {
+            let Some(job) = st.jobs.get(&id).filter(|j| !j.phase.is_terminal()) else {
                 continue;
             };
-            if job.phase.is_terminal() || job.cancelled || job.pending.is_empty() {
-                continue;
-            }
             let quota = self.cfg.quota_for(&job.tenant);
             if self.running_cells(st, &job.tenant) >= quota.max_concurrent_cells {
                 continue;
             }
-            let Some(mat) = job.mat.clone() else { continue };
-            // Prefer a cell whose ladder is ready; otherwise start
-            // building the first pending cell's ladder.
-            let ready_pos = job
-                .pending
-                .iter()
-                .position(|&i| matches!(job.groups[cell_group(&mat, i)], LadderState::Ready(_)));
             let Some(job) = st.jobs.get_mut(&id) else {
                 continue;
             };
-            if let Some(pos) = ready_pos {
-                let Some(cell) = job.pending.remove(pos) else {
-                    continue;
-                };
-                job.inflight += 1;
-                if let Some(deadline) = self.cfg.lease_deadline_ns {
-                    job.leases
-                        .insert(cell, self.cfg.clock.now_ns().saturating_add(deadline));
+            let Some(claim) = job.sched.claim_cell().or_else(|| job.sched.claim_build()) else {
+                continue;
+            };
+            if matches!(claim, Claim::Cell { .. }) {
+                if self.cfg.lease_deadline_ns.is_some() {
                     self.rec.add("serve.lease.granted", 1);
                 }
                 if job.phase == JobPhase::Queued {
                     job.phase = JobPhase::Running;
-                    if job.started.is_none() {
-                        job.started = Some(Instant::now());
-                    }
-                    let snapshot = &st.jobs[&id];
-                    self.write_status(id, snapshot);
+                    job.started.get_or_insert_with(Instant::now);
+                    self.write_status(id, job);
                 }
-                st.rr = (idx + 1) % n;
-                return Some(WorkItem::Cell { id, cell });
             }
-            let build = job
-                .pending
-                .iter()
-                .map(|&i| cell_group(&mat, i))
-                .find(|&g| matches!(job.groups[g], LadderState::NotBuilt));
-            if let Some(g) = build {
-                job.groups[g] = LadderState::Building;
-                st.rr = (idx + 1) % n;
-                return Some(WorkItem::Build { id, group: g });
-            }
+            let mat = Arc::clone(&job.mat);
+            st.rr = (idx + 1) % n;
+            return Some((id, mat, claim));
         }
         None
     }
@@ -536,6 +477,23 @@ impl Inner {
         for w in job.watchers.drain(..) {
             let _ = w.send(WatchMsg::End(line.clone()));
         }
+    }
+
+    /// Cell `i`'s result record with its annotated frame; `None` when the
+    /// cell has no record.
+    fn read_cell(&self, id: u64, i: usize) -> Result<Option<(CellResult, MetricsFrame)>, String> {
+        let bytes = match self
+            .store
+            .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
+        {
+            Ok(bytes) => bytes,
+            Err(RecordError::Missing) => return Ok(None),
+            Err(e) => return Err(format!("cell {i} record unreadable: {e:?}")),
+        };
+        let (cell, mut frame) =
+            wire::decode_cell_record(&bytes).map_err(|e| format!("cell {i} corrupt: {e}"))?;
+        annotate_cell_frame(&cell, &mut frame);
+        Ok(Some((cell, frame)))
     }
 
     /// Renders one completed cell as a watch-event line: cell identity,
@@ -572,23 +530,26 @@ impl Inner {
         out
     }
 
-    fn complete_job(&self, id: u64, job: &mut JobState) {
-        job.phase = JobPhase::Done;
-        job.failures.sort_unstable_by_key(|f| f.job_index);
-        self.write_status(id, job);
-        self.rec.add("serve.jobs.completed", 1);
-        if let Some(t0) = job.started {
-            self.rec
-                .span_closed("serve.job.run", t0.elapsed().as_nanos() as u64);
+    /// Ends a job whose scheduler has nothing left: cancelled once its
+    /// last running cell returns, done once every cell settled.
+    fn settle_job(&self, id: u64, job: &mut JobState) {
+        if job.phase.is_terminal() {
+            return;
         }
-        self.end_watchers(job);
-    }
-
-    fn finish_cancel(&self, id: u64, job: &mut JobState) {
-        job.phase = JobPhase::Cancelled;
-        job.pending.clear();
+        if job.sched.is_cancelled() && job.sched.running() == 0 {
+            job.phase = JobPhase::Cancelled;
+            self.rec.add("serve.jobs.cancelled", 1);
+        } else if !job.sched.is_cancelled() && job.sched.is_settled() {
+            job.phase = JobPhase::Done;
+            self.rec.add("serve.jobs.completed", 1);
+            if let Some(t0) = job.started {
+                self.rec
+                    .span_closed("serve.job.run", t0.elapsed().as_nanos() as u64);
+            }
+        } else {
+            return;
+        }
         self.write_status(id, job);
-        self.rec.add("serve.jobs.cancelled", 1);
         self.end_watchers(job);
     }
 
@@ -610,84 +571,48 @@ impl Inner {
                 }
             };
             match item {
-                WorkItem::Build { id, group } => self.run_build(id, group),
-                WorkItem::Cell { id, cell } => self.run_one_cell(id, cell),
+                (id, mat, Claim::Build { group, cell, spec }) => {
+                    self.run_build(id, &mat, group, cell, &spec)
+                }
+                (id, mat, Claim::Cell { attempt, ladder }) => {
+                    self.run_one_cell(id, &mat, attempt, ladder)
+                }
             }
             self.work.notify_all();
         }
     }
 
-    fn run_build(&self, id: u64, group: usize) {
-        let mat = {
-            let st = self.lock();
-            st.jobs.get(&id).and_then(|j| j.mat.clone())
-        };
-        let ladder = mat.as_ref().and_then(|mat| {
-            let spec = ladder_spec(mat);
-            let w = group / mat.configs.len();
-            let c = group % mat.configs.len();
-            let workload = &mat.workloads[w];
-            let config = &mat.configs[c];
-            // The capture pass runs arbitrary simulation; isolate it and
-            // degrade to unaccelerated on panic, like the library runner.
-            catch_unwind(AssertUnwindSafe(|| {
-                CheckpointLadder::load_or_capture(&self.store, workload, config, &spec)
-            }))
-            .ok()
-            .map(Arc::new)
-        });
-        if ladder.is_none() {
+    fn run_build(&self, id: u64, mat: &Materialized, group: usize, cell: usize, spec: &LadderSpec) {
+        let built = build_ladder(&mat.jobs()[cell], spec, Some(&self.store));
+        if built.is_err() {
             self.rec.add("serve.ladders.degraded", 1);
         }
-        let mut st = self.lock();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.groups[group] = LadderState::Ready(ladder);
+        if let Some(job) = self.lock().jobs.get_mut(&id) {
+            job.sched.finish_build(group, built);
         }
     }
 
-    fn run_one_cell(&self, id: u64, cell: usize) {
-        let Some(mat) = ({
-            let st = self.lock();
-            st.jobs.get(&id).and_then(|j| j.mat.clone())
-        }) else {
-            return;
-        };
-        let ladder = {
-            let st = self.lock();
-            match st.jobs.get(&id).map(|j| &j.groups[cell_group(&mat, cell)]) {
-                Some(LadderState::Ready(l)) => l.clone(),
-                _ => None,
-            }
-        };
-        let job_desc = cell_job(&mat, cell);
-        let ctx = match ladder {
-            Some(l) => SimContext::with_ladder(l),
-            None => SimContext::none(),
-        };
-        let outcome = run_cell(&job_desc, &ctx);
-
+    fn run_one_cell(
+        &self,
+        id: u64,
+        mat: &Materialized,
+        attempt: Attempt,
+        ladder: Option<Arc<CheckpointLadder>>,
+    ) {
+        let outcome = execute_cell(&mat.jobs()[attempt.cell], ladder);
         let mut st = self.lock();
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return;
-        };
-        job.leases.remove(&cell);
-        if job.reaped.remove(&cell) {
-            // The watchdog already settled this cell (failure or retry)
-            // and freed its slot; this zombie's late result — computed
-            // before the cell record would be written — is discarded.
-            self.rec.add("serve.lease.late_result", 1);
-            return;
+        if let Some(job) = st.jobs.get_mut(&id) {
+            let outcome = outcome.map(|(result, frame)| (attempt.cell, result, frame));
+            let settle = job.sched.finish_cell(attempt, outcome);
+            self.book(id, job, settle);
         }
-        job.inflight -= 1;
-        if job.cancelled {
-            // Result discarded; the worker is free again.
-            if job.inflight == 0 && !job.phase.is_terminal() {
-                self.finish_cancel(id, job);
-            }
-            return;
-        }
-        match outcome {
-            Ok((result, frame)) => {
+    }
+
+    /// Books one settled attempt — persists and streams a result, counts
+    /// a retry or a failure — then ends the job if nothing is left.
+    fn book(&self, id: u64, job: &mut JobState, settle: Settle<(usize, CellResult, MetricsFrame)>) {
+        match settle {
+            Settle::Done((cell, result, frame)) => {
                 let bytes = wire::encode_cell_record(&result, &frame);
                 if self
                     .store
@@ -698,135 +623,60 @@ impl Inner {
                 }
                 job.done[cell] = true;
                 job.done_count += 1;
-                job.attempts.remove(&cell);
                 self.rec.add("serve.cells.executed", 1);
                 let mut annotated = frame;
                 annotate_cell_frame(&result, &mut annotated);
-                let line =
-                    self.event_line(id, cell, &result, &annotated, job.done_count, job.total);
+                let line = self.event_line(
+                    id,
+                    cell,
+                    &result,
+                    &annotated,
+                    job.done_count,
+                    job.done.len(),
+                );
                 self.notify_watchers(job, &line);
             }
-            Err(error) => {
-                let attempts = job.attempts.entry(cell).or_insert(0);
-                *attempts += 1;
-                if *attempts < self.cfg.retry.max_attempts {
-                    job.retries += 1;
-                    job.pending.push_back(cell);
-                    self.rec.add("serve.cells.retried", 1);
-                } else {
-                    let attempts = *attempts;
-                    job.attempts.remove(&cell);
-                    job.failures.push(WireFailure {
-                        job_index: cell,
-                        workload: job_desc.workload.name().to_string(),
-                        technique: job_desc.technique.name(),
-                        attempts,
-                        error: error.to_string(),
-                    });
-                    self.rec.add("serve.cells.failed", 1);
-                    let snapshot = &st.jobs[&id];
-                    self.write_status(id, snapshot);
-                    // Reborrow after the read-only snapshot.
-                    let Some(job) = st.jobs.get_mut(&id) else {
-                        return;
-                    };
-                    if job.settled() {
-                        self.complete_job(id, job);
-                    }
-                    return;
-                }
+            Settle::Retry => self.rec.add("serve.cells.retried", 1),
+            Settle::Failed => {
+                self.rec.add("serve.cells.failed", 1);
+                self.write_status(id, job);
             }
+            // The watchdog already settled this attempt and freed its
+            // slot; the zombie's late result is discarded.
+            Settle::Late => self.rec.add("serve.lease.late_result", 1),
+            Settle::Cancelled => {}
         }
-        if job.settled() {
-            self.complete_job(id, job);
-        }
+        self.settle_job(id, job);
     }
 
-    /// Settles every cell whose lease has expired on the injected clock:
-    /// frees its scheduler slot, marks it reaped (so the zombie worker's
-    /// late result is discarded), and runs the standard retry/failure
-    /// logic with [`CellError::DeadlineExceeded`]. Determinism comes from
-    /// the clock and the cell identity, not from when this happens to be
-    /// polled.
+    /// Has every job's scheduler reap the cells whose lease expired on
+    /// the injected clock (see [`Scheduler::reap_overdue`]). Determinism
+    /// comes from the clock and the cell identity, not from when this
+    /// happens to be polled.
     fn reap_overdue(&self) {
-        let Some(deadline_ns) = self.cfg.lease_deadline_ns else {
-            return;
-        };
-        let now = self.cfg.clock.now_ns();
+        let mut reaped = false;
         let mut st = self.lock();
-        let overdue: Vec<(u64, usize)> = st
-            .jobs
-            .iter()
-            .flat_map(|(&id, j)| {
-                j.leases
-                    .iter()
-                    .filter(|&(_, &expiry)| expiry <= now)
-                    .map(|(&cell, _)| (id, cell))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if overdue.is_empty() {
-            return;
-        }
-        for (id, cell) in overdue {
-            let Some(mat) = st.jobs.get(&id).and_then(|j| j.mat.clone()) else {
-                continue;
-            };
-            let Some(job) = st.jobs.get_mut(&id) else {
-                continue;
-            };
-            if job.leases.remove(&cell).is_none() {
-                continue; // the worker finished while we walked the list
-            }
-            job.reaped.insert(cell);
-            job.inflight -= 1;
-            self.rec.add("serve.lease.reaped", 1);
-            if job.cancelled {
-                if job.inflight == 0 && !job.phase.is_terminal() {
-                    self.finish_cancel(id, job);
-                }
-                continue;
-            }
-            let attempts_entry = job.attempts.entry(cell).or_insert(0);
-            *attempts_entry += 1;
-            let attempts = *attempts_entry;
-            if attempts < self.cfg.retry.max_attempts {
-                job.retries += 1;
-                job.pending.push_back(cell);
-                self.rec.add("serve.cells.retried", 1);
-            } else {
-                job.attempts.remove(&cell);
-                let desc = cell_job(&mat, cell);
-                job.failures.push(WireFailure {
-                    job_index: cell,
-                    workload: desc.workload.name().to_string(),
-                    technique: desc.technique.name(),
-                    attempts,
-                    error: CellError::DeadlineExceeded { deadline_ns }.to_string(),
-                });
-                self.rec.add("serve.cells.failed", 1);
-                let snapshot = &st.jobs[&id];
-                self.write_status(id, snapshot);
-                let Some(job) = st.jobs.get_mut(&id) else {
-                    continue;
-                };
-                if job.settled() {
-                    self.complete_job(id, job);
-                }
+        for (&id, job) in st.jobs.iter_mut() {
+            for settle in job.sched.reap_overdue() {
+                reaped = true;
+                self.rec.add("serve.lease.reaped", 1);
+                self.book(id, job, settle);
             }
         }
         drop(st);
-        // Requeued retries (and freed quota slots) need workers.
-        self.work.notify_all();
+        if reaped {
+            // Requeued retries (and freed quota slots) need workers.
+            self.work.notify_all();
+        }
     }
 
     /// True when no worker holds a cell or ladder build — the drain
     /// completion condition.
     fn drained(&self) -> bool {
         let st = self.lock();
-        st.jobs.values().all(|j| {
-            j.inflight == 0 && !j.groups.iter().any(|g| matches!(g, LadderState::Building))
-        })
+        st.jobs
+            .values()
+            .all(|j| j.sched.running() == 0 && !j.sched.building())
     }
 
     /// The supervision thread: polls wall time at a short cadence but
@@ -983,17 +833,12 @@ impl Server {
 
 /// Startup resume: rebuild scheduler state from the store's job records.
 fn resume_jobs(inner: &Arc<Inner>) {
-    let index = match inner.store.get_checked(index_key()) {
-        Ok(bytes) => match IndexRecord::decode(&bytes) {
-            Ok(idx) => idx,
-            Err(_) => {
-                let _ = inner.store.quarantine(index_key());
-                inner.rec.add("serve.store.index_corrupt", 1);
-                IndexRecord::default()
-            }
-        },
+    let read = inner.store.get_checked(index_key());
+    let index = match read.map(|bytes| IndexRecord::decode(&bytes)) {
+        Ok(Ok(index)) => index,
         Err(RecordError::Missing) => IndexRecord::default(),
-        Err(_) => {
+        // Corrupt on disk, or checksummed but undecodable.
+        _ => {
             let _ = inner.store.quarantine(index_key());
             inner.rec.add("serve.store.index_corrupt", 1);
             IndexRecord::default()
@@ -1031,76 +876,27 @@ fn resume_jobs(inner: &Arc<Inner>) {
         let mat = Arc::new(mat);
         let total = spec_rec.spec.cell_count();
         let mut done = vec![false; total];
-        let mut done_count = 0usize;
         for (i, slot) in done.iter_mut().enumerate() {
-            match inner
-                .store
-                .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-            {
-                Ok(bytes) => match wire::decode_cell_record(&bytes) {
-                    Ok(_) => {
-                        *slot = true;
-                        done_count += 1;
-                    }
-                    Err(_) => {
-                        // Store checksum passed but the payload didn't
-                        // decode: quarantine and re-run the cell.
-                        let _ = inner
-                            .store
-                            .quarantine(job_key(JobRecordKind::Cell, id, i as u64));
-                        inner.rec.add("serve.cells.requeued_corrupt", 1);
-                    }
-                },
+            let key = job_key(JobRecordKind::Cell, id, i as u64);
+            match inner.store.get_checked(key) {
+                Ok(bytes) if wire::decode_cell_record(&bytes).is_ok() => *slot = true,
                 Err(RecordError::Missing) => {}
-                Err(_) => {
-                    let _ = inner
-                        .store
-                        .quarantine(job_key(JobRecordKind::Cell, id, i as u64));
+                // Corrupt on disk, or the store checksum passed but the
+                // payload didn't decode: quarantine and re-run the cell.
+                _ => {
+                    let _ = inner.store.quarantine(key);
                     inner.rec.add("serve.cells.requeued_corrupt", 1);
                 }
             }
         }
-        let failed: Vec<usize> = status.failures.iter().map(|f| f.job_index).collect();
-        let terminal = status.phase.is_terminal();
-        let pending: VecDeque<usize> = if terminal {
-            VecDeque::new()
-        } else {
-            (0..total)
-                .filter(|i| !done[*i] && !failed.contains(i))
-                .collect()
-        };
-        let mut job = JobState {
-            tenant: tenant.clone(),
-            mat: Some(mat),
-            phase: status.phase,
-            total,
-            done,
-            done_count,
-            pending,
-            attempts: BTreeMap::new(),
-            inflight: 0,
-            cancelled: status.phase == JobPhase::Cancelled,
-            retries: status.retries,
-            failures: status.failures,
-            groups: Vec::new(),
-            watchers: Vec::new(),
-            started: None,
-            leases: BTreeMap::new(),
-            reaped: BTreeSet::new(),
-        };
-        if let Some(mat) = &job.mat {
-            job.groups = (0..group_count(mat))
-                .map(|_| LadderState::NotBuilt)
-                .collect();
-        }
-        if !terminal {
+        let mut job = JobState::new(&inner.cfg, tenant.clone(), mat, done, status);
+        if !job.phase.is_terminal() {
             inner.rec.add("serve.jobs.resumed", 1);
-            inner.rec.add("serve.cells.resumed", done_count as u64);
-            if job.settled() {
-                // Everything finished before the kill, but the Done
-                // status never landed: settle it now.
-                inner.complete_job(id, &mut job);
-            } else {
+            inner.rec.add("serve.cells.resumed", job.done_count as u64);
+            // Everything may have finished before the kill with the Done
+            // status never landing: settle it now.
+            inner.settle_job(id, &mut job);
+            if !job.phase.is_terminal() {
                 st.order.push(id);
             }
         }
@@ -1349,7 +1145,7 @@ fn dispatch(inner: &Arc<Inner>, line: &str, w: &mut Stream) -> io::Result<bool> 
             inner.work.notify_all();
             let inflight: usize = {
                 let st = inner.lock();
-                st.jobs.values().map(|j| j.inflight).sum()
+                st.jobs.values().map(|j| j.sched.running()).sum()
             };
             write_line(
                 w,
@@ -1433,27 +1229,12 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
         pgss_ckpt::fnv1a64(&e.into_bytes())
     };
     let total = spec.cell_count();
-    let job = JobState {
-        tenant: tenant.clone(),
-        mat: Some(Arc::clone(&mat)),
+    let queued = StatusRecord {
         phase: JobPhase::Queued,
-        total,
-        done: vec![false; total],
-        done_count: 0,
-        pending: (0..total).collect(),
-        attempts: BTreeMap::new(),
-        inflight: 0,
-        cancelled: false,
         retries: 0,
         failures: Vec::new(),
-        groups: (0..group_count(&mat))
-            .map(|_| LadderState::NotBuilt)
-            .collect(),
-        watchers: Vec::new(),
-        started: None,
-        leases: BTreeMap::new(),
-        reaped: BTreeSet::new(),
     };
+    let job = JobState::new(&inner.cfg, tenant.clone(), mat, vec![false; total], queued);
     // Durable order matters: spec and status first, then the index that
     // names them — a crash between writes leaves an unnamed record, not
     // a dangling index entry.
@@ -1497,14 +1278,17 @@ fn handle_submit(inner: &Arc<Inner>, req: &Value) -> String {
 fn handle_status(inner: &Arc<Inner>, req: &Value) -> String {
     let mut st = inner.lock();
     match job_from_req(req, &mut st) {
-        Ok((_, job)) => ok_line(&format!(
-            "\"phase\":\"{}\",\"done\":{},\"total\":{},\"failed\":{},\"retries\":{}",
-            job.phase.as_str(),
-            job.done_count,
-            job.total,
-            job.failures.len(),
-            job.retries
-        )),
+        Ok((_, job)) => {
+            let status = job.status();
+            ok_line(&format!(
+                "\"phase\":\"{}\",\"done\":{},\"total\":{},\"failed\":{},\"retries\":{}",
+                job.phase.as_str(),
+                job.done_count,
+                job.done.len(),
+                status.failures.len(),
+                status.retries
+            ))
+        }
         Err(e) => err_line(&e),
     }
 }
@@ -1516,11 +1300,8 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
             if job.phase.is_terminal() {
                 err_line(&format!("job is already {}", job.phase.as_str()))
             } else {
-                job.cancelled = true;
-                job.pending.clear();
-                if job.inflight == 0 {
-                    inner.finish_cancel(id, job);
-                }
+                job.sched.cancel();
+                inner.settle_job(id, job);
                 ok_line("\"cancelled\":true")
             }
         }
@@ -1552,11 +1333,7 @@ fn handle_cancel(inner: &Arc<Inner>, req: &Value) -> String {
 /// resume and therefore legitimately collectable.
 fn handle_gc(inner: &Arc<Inner>) -> String {
     let st = inner.lock();
-    let building = st
-        .jobs
-        .values()
-        .any(|j| j.groups.iter().any(|g| matches!(g, LadderState::Building)));
-    if building {
+    if st.jobs.values().any(|j| j.sched.building()) {
         inner.rec.add("serve.backpressure.rejections", 1);
         return busy_line(
             "gc deferred: a checkpoint-ladder build is in flight",
@@ -1568,21 +1345,18 @@ fn handle_gc(inner: &Arc<Inner>) -> String {
     for (&id, job) in &st.jobs {
         live.insert(job_key(JobRecordKind::Spec, id, 0));
         live.insert(job_key(JobRecordKind::Status, id, 0));
-        for i in 0..job.total {
+        for i in 0..job.done.len() {
             live.insert(job_key(JobRecordKind::Cell, id, i as u64));
         }
-        if let Some(mat) = &job.mat {
-            let spec = ladder_spec(mat);
-            for workload in &mat.workloads {
-                for config in &mat.configs {
-                    live.extend(CheckpointLadder::live_keys(
-                        &inner.store,
-                        workload,
-                        config,
-                        &spec,
-                    ));
-                }
-            }
+        let jobs = job.mat.jobs();
+        for (cell, spec) in job.sched.ladder_specs() {
+            let (workload, config) = (jobs[cell].workload, &jobs[cell].config);
+            live.extend(CheckpointLadder::live_keys(
+                &inner.store,
+                workload,
+                config,
+                spec,
+            ));
         }
     }
     let report = inner.store.gc(|key| live.contains(&key));
@@ -1609,46 +1383,16 @@ fn assemble_report(inner: &Arc<Inner>, req: &Value) -> Result<Vec<String>, Strin
             job.phase.as_str()
         ));
     }
-    let (total, retries) = (job.total, job.retries);
-    let failures = job.failures.clone();
-    let mut cell_lines = Vec::new();
-    let mut scope_lines = Vec::new();
-    for i in 0..total {
-        let bytes = match inner
-            .store
-            .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-        {
-            Ok(b) => b,
-            Err(RecordError::Missing) => continue,
-            Err(e) => return Err(format!("cell {i} record unreadable: {e:?}")),
-        };
-        let (cell, mut frame) =
-            wire::decode_cell_record(&bytes).map_err(|e| format!("cell {i} corrupt: {e}"))?;
-        annotate_cell_frame(&cell, &mut frame);
-        scope_lines.push(scope_line(
-            &format!("{}/{}", cell.workload, cell.technique),
-            &frame,
-        ));
-        cell_lines.push(wire::canonical_cell_line(&cell));
+    let mut cells = Vec::new();
+    for i in 0..job.done.len() {
+        cells.extend(inner.read_cell(id, i)?);
     }
-    let mut lines = Vec::with_capacity(1 + cell_lines.len() * 2 + failures.len());
-    lines.push(wire::canonical_header(
-        cell_lines.len(),
-        failures.len(),
-        retries,
-    ));
-    lines.extend(cell_lines);
-    for f in &failures {
-        lines.push(wire::canonical_failure_line(
-            f.job_index,
-            &f.workload,
-            &f.technique,
-            f.attempts,
-            &f.error,
-        ));
-    }
-    lines.extend(scope_lines);
-    Ok(lines)
+    let (status, cells) = (job.status(), cells.iter().map(|(c, f)| (c, f)));
+    Ok(wire::canonical_lines(
+        cells,
+        &status.failures,
+        status.retries,
+    ))
 }
 
 fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<()> {
@@ -1660,21 +1404,10 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
         };
         // Replay what already finished, in job order, before going live.
         let mut replay = Vec::new();
-        let done_count = job.done_count;
-        let total = job.total;
-        let done = job.done.clone();
-        for (i, is_done) in done.iter().enumerate() {
-            if !is_done {
-                continue;
-            }
-            if let Ok(bytes) = inner
-                .store
-                .get_checked(job_key(JobRecordKind::Cell, id, i as u64))
-            {
-                if let Ok((cell, mut frame)) = wire::decode_cell_record(&bytes) {
-                    annotate_cell_frame(&cell, &mut frame);
-                    replay.push(inner.event_line(id, i, &cell, &frame, done_count, total));
-                }
+        let (done_count, total) = (job.done_count, job.done.len());
+        for i in (0..total).filter(|&i| job.done[i]) {
+            if let Ok(Some((cell, frame))) = inner.read_cell(id, i) {
+                replay.push(inner.event_line(id, i, &cell, &frame, done_count, total));
             }
         }
         inner.rec.add("serve.cells.streamed", replay.len() as u64);
@@ -1708,5 +1441,44 @@ fn handle_watch(inner: &Arc<Inner>, req: &Value, w: &mut Stream) -> io::Result<(
                 return write_line(w, "{\"ok\":true,\"event\":\"end\",\"phase\":\"detached\"}")
             }
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// A finished job keeps its results on disk, not its checkpoint
+    /// ladders in memory: each group's ladder is released as the group's
+    /// last cell settles.
+    #[test]
+    fn completed_job_holds_no_ladder() {
+        let dir = std::env::temp_dir().join(format!("pgss-serve-ladders-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(&dir, Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+        let spec = r#"{"suite":[{"name":"164.gzip","scale":0.003},{"name":"183.equake","scale":0.003}],
+            "techniques":[{"kind":"smarts","period_ops":50000},{"kind":"pgss","ff_ops":50000,"spacing_ops":100000}],
+            "stride":50000}"#;
+        let mut client = Client::connect(server.addr()).unwrap();
+        let job = client.submit("t", spec).unwrap();
+        assert_eq!(client.watch(&job, |_| true).unwrap(), "done");
+        {
+            let st = server.inner.lock();
+            let sched = &st.jobs[&parse_job_id(&job).unwrap()].sched;
+            assert!(sched.is_settled());
+            assert!(
+                sched.ladder_report().capture_ops > 0,
+                "both groups built a ladder"
+            );
+            assert_eq!(sched.resident_ladders(), 0);
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

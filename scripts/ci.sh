@@ -20,7 +20,9 @@ echo "== cargo test -p pgss-ckpt -q (checkpoint codec + store, incl. corruption 
 cargo test -p pgss-ckpt -q
 
 echo "== cargo test --test checkpoints -q (snapshot round-trip + bit-exact acceleration)"
-cargo test --release --test checkpoints -q
+# The library campaign suites wait on the campaign scheduler's condvar;
+# timeout-wrapped so a scheduler wedge fails the gate instead of hanging it.
+timeout 1800 cargo test --release --test checkpoints -q
 
 echo "== statistical validation smoke (12-rep debug subset: all estimators + verdicts)"
 cargo test --test statistical_validation -q
@@ -29,7 +31,7 @@ echo "== statistical validation (200-rep CI-coverage sweep, release)"
 cargo test --release --test statistical_validation -q
 
 echo "== metrics goldens (JSONL byte-identical across worker counts, schema pin)"
-cargo test --release --test metrics_golden -q
+timeout 1800 cargo test --release --test metrics_golden -q
 
 echo "== campaign benchmark self-tests (builds against the public snapshot and ladder APIs)"
 cargo test --release --manifest-path campaign_bench/Cargo.toml -q
@@ -53,7 +55,7 @@ echo "== pgss-stats property tests (merge algebra behind the metrics layer)"
 cargo test --release -p pgss-stats --test properties -q
 
 echo "== fault-injection suite (panic isolation, corruption quarantine, store I/O faults)"
-cargo test --release --features fault-inject --test fault_injection -q
+timeout 1800 cargo test --release --features fault-inject --test fault_injection -q
 cargo test -p pgss-ckpt --features fault-inject -q
 cargo test -p pgss --release --features fault-inject -q
 

@@ -13,8 +13,9 @@ use std::sync::Arc;
 use pgss::ckpt::{encode_machine_snapshot, CheckpointKey};
 use pgss::driver::{RunTrace, Segment, SimDriver};
 use pgss::{
-    campaign, AdaptivePgss, CheckpointLadder, Estimate, LadderSpec, OnlineSimPoint, PgssSim,
-    SimContext, SimPointOffline, Smarts, Technique, Track, TurboSmarts, SNAPSHOT_FORMAT_VERSION,
+    campaign, AdaptivePgss, CampaignConfig, CheckpointLadder, Estimate, LadderSpec, OnlineSimPoint,
+    PgssSim, SimContext, SimPointOffline, Smarts, Technique, Track, TurboSmarts,
+    SNAPSHOT_FORMAT_VERSION,
 };
 use pgss_ckpt::{fnv1a64, STORE_FORMAT_VERSION};
 use pgss_cpu::{MachineConfig, Mode, ModeOps};
@@ -132,9 +133,11 @@ fn checkpointed_campaign_round_trips_through_the_store() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let plain = campaign::run(&jobs);
+    let plain = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
     assert!(plain.is_complete());
-    let first = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let first =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, first.cells);
     assert!(first.is_complete());
     assert!(
@@ -147,7 +150,9 @@ fn checkpointed_campaign_round_trips_through_the_store() {
 
     // Second run: ladders come back from disk, so nothing is recaptured
     // and the cells are still identical.
-    let second = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let second =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, second.cells);
     assert_eq!(second.ladder.capture_ops, 0, "second run must load");
     assert!(second.checkpoint_faults.is_empty());
@@ -163,7 +168,9 @@ fn checkpointed_campaign_round_trips_through_the_store() {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     }
-    let third = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let third =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, third.cells);
     assert!(third.ladder.capture_ops > 0, "corrupt store must recapture");
     assert!(
@@ -190,8 +197,10 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let plain = campaign::run(&jobs);
-    let first = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let plain = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
+    let first =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, first.cells);
 
     // Corrupt exactly one ladder rung: rung records carry a machine
@@ -211,7 +220,9 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
 
     // The healed run is bit-identical to the unaccelerated campaign, and
     // the report names the quarantined record.
-    let healed = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let healed =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(
         plain.cells, healed.cells,
         "healing must not change any cell"
@@ -231,7 +242,9 @@ fn corrupt_rung_is_quarantined_recaptured_and_bit_exact() {
     assert!(victim.is_file(), "recapture must write the rung back");
 
     // Next run loads clean: no recapture, no faults.
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, clean.cells);
     assert_eq!(clean.ladder.capture_ops, 0, "store must be healed");
     assert!(

@@ -12,12 +12,16 @@
 //! / truncated gets) — runs a real campaign, and proves the fault-
 //! tolerance contract: every cell not named by the plan is bit-identical
 //! to a fault-free run, every fault is ledgered with its context, and the
-//! same plan + retry seed reproduces the report byte for byte.
+//! same plan reproduces the report byte for byte.
+//!
+//! Plans are process-global, so every test holds the fault-test lock
+//! ([`faults::serialize`]) for its whole body: its clean baseline runs
+//! and post-fault checks must not run under another test's plan.
 
 mod util;
 
 use pgss::faults::{self, CellPanic, FaultPlan, StoreFaultPlan};
-use pgss::{campaign, PgssSim, Smarts, Technique};
+use pgss::{campaign, CampaignConfig, PgssSim, Smarts, Technique};
 use pgss_ckpt::Store;
 use pgss_cpu::MachineConfig;
 use pgss_workloads::Workload;
@@ -51,13 +55,14 @@ fn temp_store(tag: &str) -> (util::TempDir, Store) {
 
 #[test]
 fn injected_worker_panic_is_isolated_and_ledgered() {
+    let _serial = faults::serialize();
     let workloads = suite();
     let smarts = smarts();
     let pgss = pgss_sim();
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts, &pgss];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = campaign::run(&jobs);
+    let clean = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
     assert!(clean.is_complete());
 
     // Permanently poison one exact cell.
@@ -69,7 +74,7 @@ fn injected_worker_panic_is_isolated_and_ledgered() {
         }],
         ..FaultPlan::default()
     });
-    let faulty = campaign::run(&jobs);
+    let faulty = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
 
     // Exactly that cell failed, after its full retry budget, with its
     // workload / technique / cause in the ledger.
@@ -101,12 +106,13 @@ fn injected_worker_panic_is_isolated_and_ledgered() {
 
 #[test]
 fn transient_injected_panic_heals_and_replays_byte_identically() {
+    let _serial = faults::serialize();
     let workloads = suite();
     let smarts = smarts();
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
 
-    let clean = campaign::run(&jobs);
+    let clean = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
 
     // One transient fault: the cell's first attempt panics, the retry
     // heals it.
@@ -119,7 +125,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
             }],
             ..FaultPlan::default()
         });
-        campaign::run(&jobs)
+        campaign::run_with(&jobs, &CampaignConfig::default()).unwrap()
     };
     let healed = run_with_fault();
     assert!(healed.is_complete(), "{}", healed.ledger());
@@ -129,7 +135,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
         "a healed transient fault must leave no trace in the results"
     );
 
-    // Same fault schedule, same retry seed: byte-identical reports.
+    // Same fault schedule: byte-identical reports.
     let replay = run_with_fault();
     assert_eq!(healed, replay);
     assert_eq!(format!("{healed:?}"), format!("{replay:?}"));
@@ -137,6 +143,7 @@ fn transient_injected_panic_heals_and_replays_byte_identically() {
 
 #[test]
 fn injected_record_corruption_is_quarantined_and_results_unchanged() {
+    let _serial = faults::serialize();
     let workloads = vec![pgss_workloads::gzip(0.01)];
     let smarts = smarts();
     let pgss = pgss_sim();
@@ -144,7 +151,9 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (dir, store) = temp_store("corrupt");
 
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert!(clean.checkpoint_faults.is_empty());
     assert!(clean.ladder.capture_ops > 0);
 
@@ -160,7 +169,8 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
             },
             ..FaultPlan::default()
         });
-        campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap()
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap()
     };
     let healed = run_with_fault();
     assert_eq!(
@@ -195,7 +205,9 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
     assert_eq!(format!("{healed:?}"), format!("{replay:?}"));
 
     // With faults cleared the recaptured store loads clean.
-    let after = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let after =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(clean.cells, after.cells);
     assert_eq!(after.ladder.capture_ops, 0);
     assert!(
@@ -207,13 +219,14 @@ fn injected_record_corruption_is_quarantined_and_results_unchanged() {
 
 #[test]
 fn injected_store_io_errors_degrade_gracefully() {
+    let _serial = faults::serialize();
     let workloads = vec![pgss_workloads::twolf(0.01)];
     let smarts = smarts();
     let techs: Vec<&(dyn Technique + Sync)> = vec![&smarts];
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("io");
 
-    let plain = campaign::run(&jobs);
+    let plain = campaign::run_with(&jobs, &CampaignConfig::default()).unwrap();
 
     // First campaign: the very first rung write-back fails with an I/O
     // error. Capture still accelerates this run; only persistence is
@@ -226,7 +239,13 @@ fn injected_store_io_errors_degrade_gracefully() {
             },
             ..FaultPlan::default()
         });
-        let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+        let report = campaign::run_checkpointed_with(
+            &jobs,
+            50_000,
+            Some(&store),
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         assert_eq!(plain.cells, report.cells);
         assert!(report.is_complete());
         assert!(
@@ -252,13 +271,21 @@ fn injected_store_io_errors_degrade_gracefully() {
             },
             ..FaultPlan::default()
         });
-        let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+        let report = campaign::run_checkpointed_with(
+            &jobs,
+            50_000,
+            Some(&store),
+            &CampaignConfig::default(),
+        )
+        .unwrap();
         assert_eq!(plain.cells, report.cells);
         assert!(report.is_complete());
     }
 
     // Faults cleared: the store heals to a fully-loadable state.
-    let healed = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let healed =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert_eq!(plain.cells, healed.cells);
     assert_eq!(
         healed.ladder.capture_ops, 0,
@@ -269,6 +296,7 @@ fn injected_store_io_errors_degrade_gracefully() {
 
 #[test]
 fn combined_panic_and_store_faults_in_one_campaign() {
+    let _serial = faults::serialize();
     let workloads = vec![pgss_workloads::gzip(0.01), pgss_workloads::mesa(0.01)];
     let smarts = smarts();
     let pgss = pgss_sim();
@@ -276,7 +304,9 @@ fn combined_panic_and_store_faults_in_one_campaign() {
     let jobs = campaign::grid(&workloads, &techs, MachineConfig::default());
     let (_dir, store) = temp_store("combined");
 
-    let clean = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let clean =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
 
     // Everything at once: a transient worker panic on one cell plus a
     // corrupted rung read. The campaign heals both and stays bit-exact.
@@ -292,7 +322,9 @@ fn combined_panic_and_store_faults_in_one_campaign() {
         },
         ..FaultPlan::default()
     });
-    let report = campaign::run_checkpointed(&jobs, 50_000, Some(&store)).unwrap();
+    let report =
+        campaign::run_checkpointed_with(&jobs, 50_000, Some(&store), &CampaignConfig::default())
+            .unwrap();
     assert!(report.is_complete(), "{}", report.ledger());
     assert_eq!(clean.cells, report.cells);
     assert_eq!(report.retries, 1);

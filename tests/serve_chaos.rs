@@ -11,6 +11,11 @@
 //! injected [`ManualClock`], disk-full and torn-rename faults fire at
 //! named operations, and the SIGKILL scenario asserts invariants that
 //! must hold wherever the kill lands.
+//!
+//! Fault plans are process-global, so every scenario holds the fault-test
+//! lock ([`faults::serialize`]) for its whole body: store operations and
+//! cells outside a scenario's own plan guard must never run under another
+//! scenario's plan.
 
 mod util;
 
@@ -22,11 +27,12 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pgss::campaign::RetryPolicy;
-use pgss::faults::{self, CellStall, FaultPlan, StoreFaultPlan};
+use pgss::campaign::{self, RetryPolicy};
+use pgss::faults::{self, CellPanic, CellStall, FaultPlan, StoreFaultPlan};
+use pgss::CampaignConfig;
 use pgss_ckpt::{is_budget_error, RecordError, RecordFault, Store};
 use pgss_obs::ManualClock;
-use pgss_serve::{json, BoundAddr, Client, ClientError, Listen, ServeConfig, Server};
+use pgss_serve::{json, BoundAddr, CampaignSpec, Client, ClientError, Listen, ServeConfig, Server};
 
 /// Control env var for the re-exec'd daemon: `store\x1faddr_file\x1fworkers`.
 const DAEMON_ENV: &str = "PGSS_SERVE_CHAOS_DAEMON";
@@ -47,6 +53,13 @@ const WIDE_SPEC: &str = r#"{"suite":[
                   {"kind":"turbo_smarts","period_ops":50000},
                   {"kind":"online_simpoint","interval_ops":100000},
                   {"kind":"pgss","ff_ops":50000,"spacing_ops":100000}],
+    "stride":50000}"#;
+
+/// Two programs × two techniques, accelerated.
+const GRID_SPEC: &str = r#"{
+    "suite":[{"name":"164.gzip","scale":0.01},{"name":"183.equake","scale":0.01}],
+    "techniques":[{"kind":"smarts","period_ops":100000},
+                  {"kind":"pgss","ff_ops":100000,"spacing_ops":200000}],
     "stride":50000}"#;
 
 /// Not a real test: the daemon half of the SIGKILL scenarios. No-ops
@@ -155,6 +168,7 @@ fn record_names(store_dir: &Path) -> Vec<String> {
 /// discarded — never written, never double-counted.
 #[test]
 fn stalled_cell_is_reaped_into_the_ledger_as_deadline_exceeded() {
+    let _serial = faults::serialize();
     let tmp = util::TempDir::new("pgss-chaos-lease");
     let clock = Arc::new(ManualClock::new());
     let _guard = faults::install(FaultPlan {
@@ -223,6 +237,7 @@ fn stalled_cell_is_reaped_into_the_ledger_as_deadline_exceeded() {
 /// server completes them without recomputing the finished ones.
 #[test]
 fn drain_stops_admission_and_preserves_pending_cells_durably() {
+    let _serial = faults::serialize();
     let tmp = util::TempDir::new("pgss-chaos-drain");
     {
         // Wedge both workers so "in flight at drain time" is exactly 2.
@@ -296,6 +311,7 @@ fn drain_stops_admission_and_preserves_pending_cells_durably() {
 /// recovers fully once space returns.
 #[test]
 fn disk_full_mid_campaign_degrades_without_crashing() {
+    let _serial = faults::serialize();
     let tmp = util::TempDir::new("pgss-chaos-full");
     let server = {
         let _guard = faults::install(FaultPlan {
@@ -347,6 +363,7 @@ fn disk_full_mid_campaign_degrades_without_crashing() {
 /// observable in the injection log — the tests can tell the difference.
 #[test]
 fn torn_rename_surfaces_as_detectable_corruption_and_heals() {
+    let _serial = faults::serialize();
     let (_dir, store) = util::temp_store("pgss-chaos-torn");
     let payload = b"phase signature".as_slice();
     {
@@ -380,6 +397,7 @@ fn torn_rename_surfaces_as_detectable_corruption_and_heals() {
 /// roots and quarantined evidence is never swept.
 #[test]
 fn budget_admits_new_captures_only_after_gc_frees_garbage() {
+    let _serial = faults::serialize();
     let dir = util::TempDir::new("pgss-chaos-budget");
     let payload = vec![0xa5u8; 64]; // 100-byte record (36-byte header)
     let workload = pgss_workloads::gzip(0.003);
@@ -412,6 +430,7 @@ fn budget_admits_new_captures_only_after_gc_frees_garbage() {
 /// the garbage.
 #[test]
 fn kill_nine_mid_gc_loses_no_live_or_quarantined_record() {
+    let _serial = faults::serialize();
     let tmp = util::TempDir::new("pgss-chaos-killgc");
     std::fs::create_dir_all(tmp.path()).unwrap();
     let store_dir = tmp.path().join("store");
@@ -507,4 +526,64 @@ fn kill_nine_mid_gc_loses_no_live_or_quarantined_record() {
         );
     }
     assert!(quarantine_file.exists(), "clean gc deleted quarantine");
+}
+
+/// The library runner and the server drive the same scheduler, so a
+/// faulted grid — one transient cell panic that a retry heals and one
+/// permanent one that exhausts its attempts — reports the same cells,
+/// retries, failure ledger and attempts through either, byte for byte.
+#[test]
+fn faulted_grid_report_is_byte_identical_to_the_library() {
+    let _serial = faults::serialize();
+    let spec = CampaignSpec::from_json(&json::parse(GRID_SPEC).unwrap()).unwrap();
+    let mat = spec.materialize().unwrap();
+    let plan = || FaultPlan {
+        cell_panics: vec![
+            CellPanic {
+                workload: "164.gzip".to_string(),
+                technique: mat.techniques[0].name(),
+                times: 1,
+            },
+            CellPanic {
+                workload: "183.equake".to_string(),
+                technique: mat.techniques[1].name(),
+                times: u32::MAX,
+            },
+        ],
+        ..FaultPlan::default()
+    };
+
+    let library = {
+        let (_tmp, store) = util::temp_store("pgss-chaos-faulted-lib");
+        let _guard = faults::install(plan());
+        let config = CampaignConfig::with_workers(2);
+        campaign::run_checkpointed_with(&mat.jobs(), spec.stride, Some(&store), &config).unwrap()
+    };
+    assert_eq!(library.retries, 2, "one healed retry, one exhausted");
+    assert_eq!(library.failures.len(), 1);
+    assert_eq!(library.failures[0].attempts, 2);
+
+    let tmp = util::TempDir::new("pgss-chaos-faulted-srv");
+    let _guard = faults::install(plan());
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(tmp.path(), Listen::Tcp("127.0.0.1:0".into()), cfg).unwrap();
+    let addr = server.addr().clone();
+    let job = Client::connect(&addr)
+        .unwrap()
+        .submit("chaos", GRID_SPEC)
+        .unwrap();
+    wait_for("the faulted job to finish", || {
+        (Client::connect(&addr).unwrap().status(&job).unwrap().phase == "done").then_some(())
+    });
+    let mut served = Client::connect(&addr)
+        .unwrap()
+        .report(&job)
+        .unwrap()
+        .join("\n");
+    served.push('\n');
+    server.stop();
+    assert_eq!(served, library.canonical_jsonl());
 }
