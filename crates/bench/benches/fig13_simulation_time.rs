@@ -1,16 +1,43 @@
 //! Figure 13: total simulation times for SMARTS, SimPoint (10 clusters of
 //! the large interval), Online SimPoint, and PGSS-Sim, decomposed into
 //! fast-forwarding / detailed warming / detailed simulation, with the
-//! measured per-mode simulation rates (with and without BBV tracking).
+//! measured per-mode simulation rates (with and without BBV tracking) and
+//! the cost of one hashed-BBV angle comparison.
 //!
 //! The paper's point: BBV-tracking overhead is negligible (~1 %), detailed
 //! simulation dominates where it exists, and PGSS's advantage in total time
 //! is bounded by the functional:detailed speed ratio of the simulator.
 
+use std::time::Instant;
+
 use pgss::timing::{measure_rates, time_for, ModeRates, TimeBreakdown};
 use pgss::{campaign, OnlineSimPoint, PgssSim, SimPointOffline, Smarts, Technique};
+use pgss_bbv::HashedBbv;
 use pgss_bench::{banner, suite, Table};
 use pgss_cpu::{MachineConfig, ModeOps};
+
+/// Best-of-20 nanoseconds per 32-dimension hashed-BBV angle, the
+/// comparison PGSS makes against the last interval and each phase.
+fn angle_ns() -> f64 {
+    let mut a = HashedBbv::new();
+    let mut b = HashedBbv::new();
+    for i in 0..32 {
+        a.record(i, (i as u64 + 3) * 17);
+        b.record(i, (i as u64 + 5) * 13);
+    }
+    let reps = 100_000u32;
+    let mut best = f64::INFINITY;
+    for _ in 0..20 {
+        let start = Instant::now();
+        let mut acc = 0.0;
+        for _ in 0..reps {
+            acc += std::hint::black_box(&a).angle(std::hint::black_box(&b));
+        }
+        std::hint::black_box(acc);
+        best = best.min(start.elapsed().as_secs_f64() / f64::from(reps));
+    }
+    best * 1e9
+}
 
 fn main() {
     banner(
@@ -51,6 +78,7 @@ fn main() {
         without.detailed_measured,
     );
     rates_table.print();
+    println!("hashed-BBV angle: {:.1} ns/op", angle_ns());
 
     // Per-technique mode_ops summed over the ten benchmarks; one campaign
     // cell per (benchmark × technique), run across the host's cores.
@@ -133,11 +161,7 @@ fn main() {
     for (t_idx, name) in names.iter().enumerate() {
         let mut ops = ModeOps::default();
         for w_idx in 0..workloads.len() {
-            let est = &cells[w_idx * techs.len() + t_idx].estimate;
-            ops.fast_forward += est.mode_ops.fast_forward;
-            ops.functional += est.mode_ops.functional;
-            ops.detailed_warming += est.mode_ops.detailed_warming;
-            ops.detailed_measured += est.mode_ops.detailed_measured;
+            ops.merge(&cells[w_idx * techs.len() + t_idx].estimate.mode_ops);
         }
         let rates = ModeRates { ..with_bbv };
         let t = time_for(&ops, &rates);

@@ -21,9 +21,7 @@ use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::driver::{Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Track};
 use crate::estimate::{Estimate, Technique};
 use crate::pgss_sim::PgssSim;
 
@@ -70,24 +68,19 @@ impl AdaptivePgss {
     }
 
     /// Runs the functional pilot and returns the tuned threshold in
-    /// radians, together with the pilot's retired-instruction count.
+    /// radians, together with the pilot's retired-instruction count and
+    /// trace.
     ///
     /// With fewer than four pilot intervals (or an angle distribution with
     /// no separable "change" mass), the base configuration's threshold is
     /// returned unchanged.
-    pub fn tune(&self, workload: &Workload, config: &MachineConfig) -> (f64, u64) {
-        let (t, spent, _) = self.tune_traced(workload, config, &SimContext::none());
-        (t, spent)
-    }
-
-    fn tune_traced(
+    fn tune(
         &self,
         workload: &Workload,
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (f64, u64, RunTrace) {
-        let mut driver = SimDriver::new(workload, config, Track::Hashed(self.base.hash_seed));
-        ctx.bind(&mut driver);
+        let mut driver = ctx.driver(workload, config, Track::Hashed(self.base.hash_seed));
         let mut policy = PilotPolicy {
             ff_ops: self.base.ff_ops,
             budget: (workload.nominal_ops() as f64 * self.pilot_fraction) as u64,
@@ -169,14 +162,6 @@ impl Technique for AdaptivePgss {
         format!("AdaptivePGSS({}M)", self.base.ff_ops / 1_000_000)
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![Track::Hashed(self.base.hash_seed)]
     }
@@ -187,7 +172,7 @@ impl Technique for AdaptivePgss {
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (Estimate, RunTrace) {
-        let (threshold_rad, pilot_ops, mut trace) = self.tune_traced(workload, config, ctx);
+        let (threshold_rad, pilot_ops, mut trace) = self.tune(workload, config, ctx);
         let tuned = PgssSim {
             threshold_rad,
             ..self.base
@@ -215,7 +200,7 @@ mod tests {
             },
             ..AdaptivePgss::default()
         };
-        let (t, pilot_ops) = a.tune(&w, &MachineConfig::default());
+        let (t, pilot_ops, _) = a.tune(&w, &MachineConfig::default(), &SimContext::none());
         assert!(
             t >= a.min_threshold && t <= a.max_threshold,
             "threshold {t}"
@@ -282,7 +267,7 @@ mod tests {
             },
             ..AdaptivePgss::default()
         };
-        let (t, _) = a.tune(&w, &MachineConfig::default());
+        let (t, _, _) = a.tune(&w, &MachineConfig::default(), &SimContext::none());
         // Degenerate angle distribution: default threshold retained (up to
         // clamping).
         let expected = a.base.threshold_rad.clamp(a.min_threshold, a.max_threshold);

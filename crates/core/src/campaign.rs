@@ -880,9 +880,6 @@ mod tests {
         fn name(&self) -> String {
             format!("Exploder({})", self.inner.name())
         }
-        fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-            self.run_traced(workload, config).0
-        }
         fn run_traced_ctx(
             &self,
             workload: &Workload,
@@ -909,9 +906,6 @@ mod tests {
     impl Technique for Flaky {
         fn name(&self) -> String {
             format!("Flaky({})", self.inner.name())
-        }
-        fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-            self.run_traced(workload, config).0
         }
         fn run_traced_ctx(
             &self,
@@ -947,24 +941,46 @@ mod tests {
             b.finish()
         };
         let healthy = pgss_workloads::gzip(0.01);
+        // Small enough to simulate exhaustively in a debug build.
+        let small = pgss_workloads::mesa(0.002);
         let (smarts, _, _) = techniques();
-        let jobs = vec![Job::new(&faulty, &smarts), Job::new(&healthy, &smarts)];
+        let full = crate::FullDetailed::new();
+        let jobs = vec![
+            Job::new(&faulty, &smarts),
+            Job::new(&healthy, &smarts),
+            Job::new(&faulty, &full),
+            Job::new(&small, &full),
+        ];
         let report = run_with(&jobs, &CampaignConfig::with_workers(2)).unwrap();
-        assert_eq!(report.failures.len(), 1);
-        let failure = &report.failures[0];
-        assert_eq!(failure.workload, "faulty");
-        assert!(
-            matches!(
-                failure.error,
-                CellError::MachineFault(pgss_cpu::MachineFault::IndirectJumpOutOfRange { .. })
-            ),
-            "expected a typed machine fault, got {:?}",
-            failure.error
-        );
+        assert_eq!(report.failures.len(), 2);
+        for (failure, technique) in report.failures.iter().zip([smarts.name(), full.name()]) {
+            assert_eq!(failure.workload, "faulty");
+            assert_eq!(failure.technique, technique);
+            assert!(
+                matches!(
+                    failure.error,
+                    CellError::MachineFault(pgss_cpu::MachineFault::IndirectJumpOutOfRange { .. })
+                ),
+                "expected a typed machine fault, got {:?}",
+                failure.error
+            );
+        }
         // Faults are deterministic, so retrying the cell cannot help and
-        // the healthy cell must be unaffected.
+        // the healthy cells must be unaffected.
         assert!(report.cell("164.gzip", &smarts.name()).is_some());
         assert!(report.cell("faulty", &smarts.name()).is_none());
+        assert!(report.cell("faulty", &full.name()).is_none());
+
+        // The exhaustive cell's driver pass is bound to the cell's
+        // context: its frame counts every detailed op it charged.
+        let cell = report.cell("177.mesa", &full.name()).unwrap();
+        let frame = report
+            .metrics
+            .scope(&format!("177.mesa/{}", full.name()))
+            .unwrap();
+        let detailed = cell.estimate.mode_ops.detailed_measured;
+        assert!(detailed > 0);
+        assert_eq!(frame.counter("driver.ops.detail"), detailed);
     }
 
     #[test]
@@ -1006,7 +1022,8 @@ mod tests {
         let (smarts, _, _) = techniques();
         let jobs = vec![Job::new(&w, &smarts)];
         let report = run_with(&jobs, &CampaignConfig::default()).unwrap();
-        let (estimate, trace) = smarts.run_traced(&w, &MachineConfig::default());
+        let (estimate, trace) =
+            smarts.run_traced_ctx(&w, &MachineConfig::default(), &SimContext::none());
         assert_eq!(report.cells[0].estimate, estimate);
         assert_eq!(report.cells[0].trace, trace);
         assert_eq!(report.cells[0].workload, "164.gzip");
@@ -1194,7 +1211,8 @@ mod tests {
                 .iter()
                 .find(|w| w.name() == cell.workload)
                 .unwrap();
-            let (estimate, trace) = smarts.run_traced(w, &MachineConfig::default());
+            let (estimate, trace) =
+                smarts.run_traced_ctx(w, &MachineConfig::default(), &SimContext::none());
             assert_eq!(
                 cell.estimate, estimate,
                 "{} × {}",
@@ -1225,7 +1243,11 @@ mod tests {
         assert_eq!(report.cells.len(), 3);
         // The healed cell's result is bit-identical to the underlying
         // technique's fault-free run.
-        let (estimate, trace) = smarts.run_traced(&workloads[2], &MachineConfig::default());
+        let (estimate, trace) = smarts.run_traced_ctx(
+            &workloads[2],
+            &MachineConfig::default(),
+            &SimContext::none(),
+        );
         assert_eq!(report.cells[2].estimate, estimate);
         assert_eq!(report.cells[2].trace, trace);
         // Same faults: byte-identical reports.

@@ -53,7 +53,7 @@ use pgss_cpu::{
 };
 use pgss_workloads::Workload;
 
-use crate::driver::DriverSnapshot;
+use crate::driver::{DriverSnapshot, SimDriver, Track};
 
 /// Version of the *payload* encoding produced by this module (the store
 /// has its own record-layout version,
@@ -798,8 +798,9 @@ fn decode_rung(bytes: &[u8], spec: &LadderSpec) -> Result<LadderRung, CodecError
 }
 
 /// Per-run context threaded to [`crate::Technique::run_traced_ctx`]:
-/// carries the checkpoint ladder (if any) and the metrics recorder every
-/// driver pass of the run should attach — see [`SimContext::bind`].
+/// carries the checkpoint ladder (if any), the metrics recorder and the
+/// fault slot that every driver pass of the run is built with — see
+/// [`SimContext::driver`].
 #[derive(Debug, Clone)]
 pub struct SimContext {
     /// The workload's checkpoint ladder, shared across the techniques of
@@ -827,8 +828,7 @@ impl Default for SimContext {
 }
 
 impl SimContext {
-    /// A context with no acceleration and no metrics — techniques behave
-    /// exactly as their plain `run_traced`.
+    /// A context with no acceleration and no metrics.
     pub fn none() -> SimContext {
         SimContext::default()
     }
@@ -855,17 +855,19 @@ impl SimContext {
         self.fault.get().copied()
     }
 
-    /// The same context with `recorder` attached (builder-style).
-    pub fn and_recorder(mut self, recorder: std::sync::Arc<dyn pgss_obs::Recorder>) -> SimContext {
-        self.recorder = recorder;
-        self
+    /// A fresh driver pass over `workload`, tracking `track`, with this
+    /// context bound to it (see [`SimContext::bind`]). Every technique
+    /// builds each of its passes here, so instrumented and accelerated
+    /// campaigns see every pass.
+    pub fn driver(&self, workload: &Workload, config: &MachineConfig, track: Track) -> SimDriver {
+        let mut driver = SimDriver::new(workload, config, track);
+        self.bind(&mut driver);
+        driver
     }
 
     /// Attaches everything this context carries to a driver pass: the
-    /// ladder (if any) and the recorder. Every technique calls this on
-    /// each [`crate::driver::SimDriver`] it constructs, so instrumented
-    /// campaigns see every pass.
-    pub fn bind(&self, driver: &mut crate::driver::SimDriver) {
+    /// ladder (if any), the recorder and the fault slot.
+    pub fn bind(&self, driver: &mut SimDriver) {
         if let Some(ladder) = &self.ladder {
             driver.attach_ladder(std::sync::Arc::clone(ladder));
         }

@@ -104,42 +104,32 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
 /// configuration), produce an [`Estimate`].
 ///
 /// All techniques in this crate implement the trait, so comparison
-/// harnesses can sweep a `Vec<Box<dyn Technique>>`.
+/// harnesses can sweep a `Vec<Box<dyn Technique>>`. There is one way to
+/// run a technique, [`Technique::run_traced_ctx`]; [`Technique::run_with`]
+/// and [`Technique::run`] are shorthands over [`SimContext::none`].
 pub trait Technique {
     /// Human-readable name including salient parameters, e.g.
     /// `"PGSS(1M/.05)"`.
     fn name(&self) -> String;
 
     /// Runs the technique against `workload` on a machine built with
-    /// `config`.
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate;
-
-    /// Like [`Technique::run_with`], additionally returning the
-    /// [`RunTrace`] of what the underlying [`crate::driver::SimDriver`]
-    /// executed (segments per mode, samples taken vs. skipped and why,
-    /// phase-table events). Techniques running several driver passes merge
-    /// the passes' traces. The default implementation returns an empty
-    /// trace for implementations that predate the driver.
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        (self.run_with(workload, config), RunTrace::default())
-    }
-
-    /// Like [`Technique::run_traced`], threading a [`SimContext`] to the
-    /// technique's driver passes. With a checkpoint ladder in the context,
-    /// techniques that override this attach it to every pass, so
-    /// functional fast-forwarding is replaced by snapshot restores — the
-    /// returned estimate and trace are guaranteed identical to
-    /// [`Technique::run_traced`]; only physical work (tracked by the
-    /// ladder) shrinks. The default ignores the context.
+    /// `config`, returning the [`Estimate`] and the [`RunTrace`] of what
+    /// the underlying [`crate::driver::SimDriver`]s executed (segments per
+    /// mode, samples taken vs. skipped and why, phase-table events).
+    /// Techniques running several driver passes merge the passes' traces.
+    ///
+    /// Every driver pass is built by [`SimContext::driver`], so it carries
+    /// the context's recorder and fault slot, and, with a checkpoint
+    /// ladder in the context, functional fast-forwarding is replaced by
+    /// snapshot restores. The returned estimate and trace are identical
+    /// with or without a ladder; only physical work (tracked by the
+    /// ladder) shrinks.
     fn run_traced_ctx(
         &self,
         workload: &Workload,
         config: &MachineConfig,
         ctx: &SimContext,
-    ) -> (Estimate, RunTrace) {
-        let _ = ctx;
-        self.run_traced(workload, config)
-    }
+    ) -> (Estimate, RunTrace);
 
     /// The BBV tracks this technique's driver passes use — the union a
     /// checkpoint ladder must carry (see [`crate::ckpt::LadderSpec`]) for
@@ -147,6 +137,12 @@ pub trait Technique {
     /// report `[Track::None]`.
     fn tracks(&self) -> Vec<Track> {
         vec![Track::None]
+    }
+
+    /// [`Technique::run_traced_ctx`] with no acceleration and no metrics,
+    /// keeping only the estimate.
+    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
+        self.run_traced_ctx(workload, config, &SimContext::none()).0
     }
 
     /// Runs with the paper's default machine configuration.

@@ -3,9 +3,8 @@
 use pgss_cpu::{MachineConfig, Mode};
 use pgss_workloads::Workload;
 
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::ckpt::SimContext;
+use crate::driver::{Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Track};
 use crate::estimate::{Estimate, GroundTruth, Technique};
 
 /// Full cycle-level simulation of the entire workload.
@@ -32,22 +31,20 @@ impl FullDetailed {
         FullDetailed
     }
 
-    /// Runs the full simulation and returns the reference result.
+    /// Runs the full simulation with the paper's default machine
+    /// configuration and returns the reference result.
     pub fn ground_truth(&self, workload: &Workload) -> GroundTruth {
-        self.ground_truth_with(workload, &MachineConfig::default())
-    }
-
-    /// [`FullDetailed::ground_truth`] with a custom machine configuration.
-    pub fn ground_truth_with(&self, workload: &Workload, config: &MachineConfig) -> GroundTruth {
-        self.ground_truth_traced(workload, config).0
+        self.ground_truth_traced(workload, &MachineConfig::default(), &SimContext::none())
+            .0
     }
 
     fn ground_truth_traced(
         &self,
         workload: &Workload,
         config: &MachineConfig,
+        ctx: &SimContext,
     ) -> (GroundTruth, RunTrace) {
-        let mut driver = SimDriver::new(workload, config, Track::None);
+        let mut driver = ctx.driver(workload, config, Track::None);
         let mut policy = ExhaustivePolicy {
             total_ops: 0,
             cycles: 0,
@@ -95,12 +92,13 @@ impl Technique for FullDetailed {
         "FullDetailed".to_string()
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        let (truth, mut trace) = self.ground_truth_traced(workload, config);
+    fn run_traced_ctx(
+        &self,
+        workload: &Workload,
+        config: &MachineConfig,
+        ctx: &SimContext,
+    ) -> (Estimate, RunTrace) {
+        let (truth, mut trace) = self.ground_truth_traced(workload, config, ctx);
         trace.samples_taken = 1;
         let estimate = Estimate {
             ipc: truth.ipc,

@@ -8,10 +8,10 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
 use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
+    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, Track,
 };
 use crate::estimate::{Estimate, PhaseSummary, Technique};
-use crate::phase::PhaseTable;
+use crate::phase::{occurrences, IntervalPhases};
 
 /// The online-SimPoint baseline: intervals are classified into phases by
 /// BBV similarity *online*, and the **first occurrence** of each phase is
@@ -72,40 +72,6 @@ impl OnlineSimPoint {
     }
 }
 
-/// The oracle pass: classify every complete interval into a phase. Free
-/// under the paper's perfect-predictor assumption — its driver's mode ops
-/// are discarded.
-struct OraclePolicy {
-    interval_ops: u64,
-    table: PhaseTable,
-    interval_phases: Vec<usize>,
-    done: bool,
-}
-
-impl SamplingPolicy for OraclePolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.interval_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        if outcome.complete() {
-            let bbv = outcome.bbv.as_ref().expect("oracle intervals close a BBV");
-            let c = self.table.classify(bbv.hashed(), outcome.ops);
-            if c.created {
-                trace.phases_created += 1;
-            }
-            self.interval_phases.push(c.phase);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
-    }
-}
-
 /// The charged pass: detailed over each phase's first interval, functional
 /// (warming) elsewhere, then run functionally to the halt.
 struct ChargedPolicy {
@@ -158,14 +124,6 @@ impl Technique for OnlineSimPoint {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.hashed_track(self.hash_seed), Track::None]
     }
@@ -177,46 +135,35 @@ impl Technique for OnlineSimPoint {
         ctx: &SimContext,
     ) -> (Estimate, RunTrace) {
         assert!(self.interval_ops > 0, "interval_ops must be positive");
-        let attach = |d: &mut SimDriver| ctx.bind(d);
         // Oracle pass (free, per the paper's perfect-predictor assumption):
         // classify every interval.
-        let mut oracle = SimDriver::new(
-            workload,
-            config,
-            self.signature.hashed_track(self.hash_seed),
-        );
-        attach(&mut oracle);
-        let mut oracle_policy = OraclePolicy {
-            interval_ops: self.interval_ops,
-            table: PhaseTable::new(self.threshold_rad),
-            interval_phases: Vec::new(),
-            done: false,
-        };
-        oracle.run(&mut oracle_policy);
-        let OraclePolicy {
+        let IntervalPhases {
             table,
             interval_phases,
+            mut trace,
             ..
-        } = oracle_policy;
+        } = IntervalPhases::classify(
+            workload,
+            config,
+            ctx,
+            self.signature.hashed_track(self.hash_seed),
+            self.interval_ops,
+            self.threshold_rad,
+        );
         assert!(
             !interval_phases.is_empty(),
             "workload shorter than one interval"
         );
-        let mut trace = *oracle.trace();
-        trace.phase_changes = table.changes();
 
         // First occurrence of each phase.
         let num_phases = table.phases().len();
-        let mut first_of = vec![usize::MAX; num_phases];
-        for (i, &p) in interval_phases.iter().enumerate() {
-            if first_of[p] == usize::MAX {
-                first_of[p] = i;
-            }
-        }
+        let first_of = occurrences(&interval_phases, num_phases)
+            .iter()
+            .map(|occ| occ[0])
+            .collect();
 
         // Charged pass on a fresh machine; only its mode ops are billed.
-        let mut charged = SimDriver::new(workload, config, Track::None);
-        attach(&mut charged);
+        let mut charged = ctx.driver(workload, config, Track::None);
         let mut policy = ChargedPolicy {
             interval_ops: self.interval_ops,
             interval_phases,

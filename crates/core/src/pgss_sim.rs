@@ -6,7 +6,7 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
 use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
+    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, Track,
 };
 use crate::estimate::{Estimate, PhaseSummary, Technique};
 use crate::phase::PhaseTable;
@@ -266,14 +266,6 @@ impl Technique for PgssSim {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.hashed_track(self.hash_seed)]
     }
@@ -288,12 +280,11 @@ impl Technique for PgssSim {
             self.unit_ops > 0 && self.ff_ops > 0,
             "unit_ops and ff_ops must be positive"
         );
-        let mut driver = SimDriver::new(
+        let mut driver = ctx.driver(
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
         );
-        ctx.bind(&mut driver);
         let mut policy = PgssPolicy::new(*self);
         driver.run(&mut policy);
         let PgssPolicy {

@@ -1,7 +1,13 @@
 //! The online phase table shared by PGSS-Sim and the phase-analysis
-//! figures.
+//! figures, and the phase-classification pass shared by the techniques
+//! that classify a whole run before sampling it.
 
 use pgss_bbv::HashedBbv;
+use pgss_cpu::{MachineConfig, Mode, ModeOps};
+use pgss_workloads::Workload;
+
+use crate::ckpt::SimContext;
+use crate::driver::{Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Track};
 
 /// One discovered phase: its accumulated BBV signature and bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,6 +182,96 @@ impl PhaseTable {
             .iter()
             .map(|p| p.ops as f64 / total as f64)
             .collect()
+    }
+}
+
+/// The outcome of a phase-classification pass: a functional pass that
+/// closes one signature interval every `interval_ops` and classifies each
+/// complete interval into a phase. Online SimPoint's oracle pass and
+/// two-phase stratified sampling's stratification pass are both this.
+pub(crate) struct IntervalPhases {
+    /// The phase table after the last interval.
+    pub table: PhaseTable,
+    /// Phase of each complete interval, in program order.
+    pub interval_phases: Vec<usize>,
+    /// The pass's trace, with `phase_changes` taken from the table.
+    pub trace: RunTrace,
+    /// Per-mode retired instructions of the pass.
+    pub mode_ops: ModeOps,
+}
+
+impl IntervalPhases {
+    /// Runs the pass on a driver built by `ctx`, tracking `track` (a
+    /// hashed-BBV-shaped signature).
+    pub fn classify(
+        workload: &Workload,
+        config: &MachineConfig,
+        ctx: &SimContext,
+        track: Track,
+        interval_ops: u64,
+        threshold_rad: f64,
+    ) -> IntervalPhases {
+        let mut driver = ctx.driver(workload, config, track);
+        let mut policy = ClassifyPolicy {
+            interval_ops,
+            table: PhaseTable::new(threshold_rad),
+            interval_phases: Vec::new(),
+            done: false,
+        };
+        driver.run(&mut policy);
+        let mut trace = *driver.trace();
+        trace.phase_changes = policy.table.changes();
+        IntervalPhases {
+            table: policy.table,
+            interval_phases: policy.interval_phases,
+            trace,
+            mode_ops: driver.mode_ops(),
+        }
+    }
+}
+
+/// Interval indices per phase, ascending: `interval_phases[i] == p` for
+/// every `i` in the returned `[p]`.
+pub(crate) fn occurrences(interval_phases: &[usize], num_phases: usize) -> Vec<Vec<usize>> {
+    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); num_phases];
+    for (i, &p) in interval_phases.iter().enumerate() {
+        occ[p].push(i);
+    }
+    occ
+}
+
+/// The policy behind [`IntervalPhases::classify`].
+struct ClassifyPolicy {
+    interval_ops: u64,
+    table: PhaseTable,
+    interval_phases: Vec<usize>,
+    done: bool,
+}
+
+impl SamplingPolicy for ClassifyPolicy {
+    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
+        if self.done {
+            Directive::Finish
+        } else {
+            Directive::Run(Segment::with_bbv(Mode::Functional, self.interval_ops))
+        }
+    }
+
+    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
+        if outcome.complete() {
+            let bbv = outcome
+                .bbv
+                .as_ref()
+                .expect("classification intervals close a BBV");
+            let c = self.table.classify(bbv.hashed(), outcome.ops);
+            if c.created {
+                trace.phases_created += 1;
+            }
+            self.interval_phases.push(c.phase);
+        }
+        if outcome.halted || outcome.ops == 0 {
+            self.done = true;
+        }
     }
 }
 

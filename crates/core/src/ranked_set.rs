@@ -12,10 +12,10 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
 use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
+    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, Track,
 };
 use crate::estimate::{Estimate, PhaseSummary, Technique};
-use crate::phase::PhaseTable;
+use crate::phase::{occurrences, PhaseTable};
 use crate::two_phase::PointReplayPolicy;
 
 /// Ranked-set sampling over online phase strata:
@@ -172,14 +172,6 @@ impl Technique for RankedSet {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.hashed_track(self.hash_seed), Track::None]
     }
@@ -199,12 +191,11 @@ impl Technique for RankedSet {
             "ranked-set sampling needs set_size >= 2 and replicates >= 2"
         );
         // Pass 1: probe + classify every interval.
-        let mut rank = SimDriver::new(
+        let mut rank = ctx.driver(
             workload,
             config,
             self.signature.hashed_track(self.hash_seed),
         );
-        ctx.bind(&mut rank);
         let mut rp = RankPolicy {
             ff_ops: self.ff_ops,
             probe_ops: self.probe_ops,
@@ -229,10 +220,7 @@ impl Technique for RankedSet {
         trace.phase_changes = table.changes();
 
         let num_strata = table.phases().len();
-        let mut occurrences: Vec<Vec<usize>> = vec![Vec::new(); num_strata];
-        for (i, &p) in interval_phases.iter().enumerate() {
-            occurrences[p].push(i);
-        }
+        let occurrences = occurrences(&interval_phases, num_strata);
 
         // Per-replicate ranked selections. The rotating rank
         // `(set index + replicate) % set_size` makes every rank position
@@ -266,8 +254,7 @@ impl Technique for RankedSet {
         // execution means a re-selected interval would re-measure
         // identically, so the union is equivalent and cheaper.
         let union: BTreeSet<usize> = selections.iter().flatten().flatten().copied().collect();
-        let mut measure = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut measure);
+        let mut measure = ctx.driver(workload, config, Track::None);
         let mut policy = PointReplayPolicy::new(
             self.ff_ops,
             self.warm_ops,
@@ -315,11 +302,7 @@ impl Technique for RankedSet {
         let cpi_ci = replicate_ci(&estimates, Z_95);
         let samples = policy.cpis.iter().filter(|c| c.is_finite()).count() as u64;
         let mut mode_ops = rank.mode_ops();
-        let pass_ops = measure.mode_ops();
-        mode_ops.fast_forward += pass_ops.fast_forward;
-        mode_ops.functional += pass_ops.functional;
-        mode_ops.detailed_warming += pass_ops.detailed_warming;
-        mode_ops.detailed_measured += pass_ops.detailed_measured;
+        mode_ops.merge(&measure.mode_ops());
 
         let mut samples_per_phase = vec![0u64; num_strata];
         for &p in &union {

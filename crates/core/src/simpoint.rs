@@ -9,7 +9,7 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
 use crate::driver::{
-    Bbv, Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
+    Bbv, Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, Track,
 };
 use crate::estimate::{Estimate, PhaseSummary, Technique};
 
@@ -66,26 +66,15 @@ impl Default for SimPointOffline {
 
 impl SimPointOffline {
     /// Collects the per-interval full BBVs with a functional profiling
-    /// pass. Public so experiments can reuse one collection across many
-    /// `(k, interval)` clusterings, as SimPoint itself does.
-    pub fn collect_bbvs(
-        &self,
-        workload: &Workload,
-        config: &MachineConfig,
-    ) -> (Vec<Vec<f64>>, ModeOps) {
-        let (rows, ops, _) = self.collect_bbvs_traced(workload, config, &SimContext::none());
-        (rows, ops)
-    }
-
-    fn collect_bbvs_traced(
+    /// pass.
+    fn collect_bbvs(
         &self,
         workload: &Workload,
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (Vec<Vec<f64>>, ModeOps, RunTrace) {
         assert!(self.interval_ops > 0, "interval_ops must be positive");
-        let mut driver = SimDriver::new(workload, config, self.signature.full_track());
-        ctx.bind(&mut driver);
+        let mut driver = ctx.driver(workload, config, self.signature.full_track());
         let mut policy = ProfilePolicy {
             interval_ops: self.interval_ops,
             rows: Vec::new(),
@@ -181,14 +170,6 @@ impl Technique for SimPointOffline {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.full_track(), Track::None]
     }
@@ -199,7 +180,7 @@ impl Technique for SimPointOffline {
         config: &MachineConfig,
         ctx: &SimContext,
     ) -> (Estimate, RunTrace) {
-        let (rows, profile_ops, mut trace) = self.collect_bbvs_traced(workload, config, ctx);
+        let (rows, profile_ops, mut trace) = self.collect_bbvs(workload, config, ctx);
         assert!(
             !rows.is_empty(),
             "workload shorter than one SimPoint interval"
@@ -212,8 +193,7 @@ impl Technique for SimPointOffline {
         // Second pass: detail-simulate exactly the representative intervals.
         let mut chosen: Vec<usize> = representatives.iter().flatten().copied().collect();
         chosen.sort_unstable();
-        let mut replay = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut replay);
+        let mut replay = ctx.driver(workload, config, Track::None);
         let mut policy = ReplayPolicy {
             interval_ops: self.interval_ops,
             plan: chosen,
@@ -311,7 +291,7 @@ mod tests {
     fn bbv_collection_interval_count() {
         let w = pgss_workloads::mesa(0.01);
         let sp = small();
-        let (rows, _) = sp.collect_bbvs(&w, &MachineConfig::default());
+        let (rows, _, _) = sp.collect_bbvs(&w, &MachineConfig::default(), &SimContext::none());
         let expected = w.nominal_ops() / sp.interval_ops;
         assert!(
             (rows.len() as i64 - expected as i64).unsigned_abs() <= expected / 5 + 2,

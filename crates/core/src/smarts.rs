@@ -6,9 +6,7 @@ use pgss_stats::{ConfidenceInterval, Welford, Z_95};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, SimDriver, Track,
-};
+use crate::driver::{Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Track};
 use crate::estimate::{ipc_interval_from_cpi, Estimate, Technique};
 
 /// Phase-blind periodic sampling: every `period_ops`, run `warm_ops` of
@@ -73,8 +71,7 @@ impl Smarts {
             self.warm_ops,
             self.unit_ops
         );
-        let mut driver = SimDriver::new(workload, config, Track::None);
-        ctx.bind(&mut driver);
+        let mut driver = ctx.driver(workload, config, Track::None);
         let mut policy = SmartsPolicy {
             unit_ops: self.unit_ops,
             warm_ops: self.warm_ops,
@@ -137,14 +134,6 @@ impl SamplingPolicy for SmartsPolicy {
 impl Technique for Smarts {
     fn name(&self) -> String {
         format!("SMARTS({}k/{})", self.period_ops / 1000, self.unit_ops)
-    }
-
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
     }
 
     fn run_traced_ctx(

@@ -7,7 +7,7 @@ use pgss_stats::{ConfidenceInterval, DetRng, Welford, Z_95, Z_997};
 use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
-use crate::driver::{RunTrace, Segment, SimDriver, Track};
+use crate::driver::{RunTrace, Segment, Track};
 use crate::estimate::{ipc_interval_from_cpi, Estimate, Technique};
 use crate::smarts::Smarts;
 
@@ -84,14 +84,6 @@ impl Technique for TurboSmarts {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn run_traced_ctx(
         &self,
         workload: &Workload,
@@ -106,15 +98,12 @@ impl Technique for TurboSmarts {
             s.warm_ops,
             s.unit_ops
         );
-        let attach = |d: &mut SimDriver| ctx.bind(d);
-
         // One functional pass determines the program length, and with it
         // the sample population: sample i starts (warming) at i·period
         // and is in the population iff its measured unit fits before the
         // halt. With a campaign ladder attached this pass is almost
         // entirely jumped.
-        let mut length_pass = SimDriver::new(workload, config, Track::None);
-        attach(&mut length_pass);
+        let mut length_pass = ctx.driver(workload, config, Track::None);
         length_pass.execute(Segment::new(Mode::Functional, u64::MAX));
         let total = length_pass.retired();
         let mut trace = *length_pass.trace();
@@ -151,10 +140,8 @@ impl Technique for TurboSmarts {
             let round = &order[issued..issued + want];
             let mut positions: Vec<usize> = round.to_vec();
             positions.sort_unstable();
-            let mut capture = SimDriver::new(workload, config, Track::None);
-            attach(&mut capture);
-            let mut replay = SimDriver::new(workload, config, Track::None);
-            attach(&mut replay);
+            let mut capture = ctx.driver(workload, config, Track::None);
+            let mut replay = ctx.driver(workload, config, Track::None);
             for &i in &positions {
                 let pos = i as u64 * s.period_ops;
                 if pos > capture.retired() {

@@ -10,10 +10,10 @@ use pgss_workloads::Workload;
 
 use crate::ckpt::SimContext;
 use crate::driver::{
-    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, SimDriver, Track,
+    Directive, RunTrace, SamplingPolicy, Segment, SegmentOutcome, Signature, Track,
 };
 use crate::estimate::{Estimate, PhaseSummary, Technique};
-use crate::phase::PhaseTable;
+use crate::phase::{occurrences, IntervalPhases};
 
 /// Two-phase stratified sampling over online phase strata:
 ///
@@ -84,42 +84,6 @@ impl TwoPhaseStratified {
     /// The defaults above (1M-op strata, 3 pilot samples, budget 60).
     pub fn new() -> TwoPhaseStratified {
         TwoPhaseStratified::default()
-    }
-}
-
-/// The classification pass: one BBV interval per `ff_ops`, phase per
-/// complete interval.
-struct ClassifyPolicy {
-    ff_ops: u64,
-    table: PhaseTable,
-    interval_phases: Vec<usize>,
-    done: bool,
-}
-
-impl SamplingPolicy for ClassifyPolicy {
-    fn next(&mut self, _trace: &mut RunTrace) -> Directive {
-        if self.done {
-            Directive::Finish
-        } else {
-            Directive::Run(Segment::with_bbv(Mode::Functional, self.ff_ops))
-        }
-    }
-
-    fn observe(&mut self, outcome: &SegmentOutcome, trace: &mut RunTrace) {
-        if outcome.complete() {
-            let bbv = outcome
-                .bbv
-                .as_ref()
-                .expect("classify intervals close a BBV");
-            let c = self.table.classify(bbv.hashed(), outcome.ops);
-            if c.created {
-                trace.phases_created += 1;
-            }
-            self.interval_phases.push(c.phase);
-        }
-        if outcome.halted || outcome.ops == 0 {
-            self.done = true;
-        }
     }
 }
 
@@ -232,14 +196,6 @@ impl Technique for TwoPhaseStratified {
         )
     }
 
-    fn run_with(&self, workload: &Workload, config: &MachineConfig) -> Estimate {
-        self.run_traced(workload, config).0
-    }
-
-    fn run_traced(&self, workload: &Workload, config: &MachineConfig) -> (Estimate, RunTrace) {
-        self.run_traced_ctx(workload, config, &SimContext::none())
-    }
-
     fn tracks(&self) -> Vec<Track> {
         vec![self.signature.hashed_track(self.hash_seed), Track::None]
     }
@@ -255,37 +211,25 @@ impl Technique for TwoPhaseStratified {
             "ff_ops and unit_ops must be positive"
         );
         // Pass 1: stratify every interval (charged; it is functional-only).
-        let mut classify = SimDriver::new(
-            workload,
-            config,
-            self.signature.hashed_track(self.hash_seed),
-        );
-        ctx.bind(&mut classify);
-        let mut cp = ClassifyPolicy {
-            ff_ops: self.ff_ops,
-            table: PhaseTable::new(self.threshold_rad),
-            interval_phases: Vec::new(),
-            done: false,
-        };
-        classify.run(&mut cp);
-        let ClassifyPolicy {
+        let IntervalPhases {
             table,
             interval_phases,
-            ..
-        } = cp;
+            mut trace,
+            mut mode_ops,
+        } = IntervalPhases::classify(
+            workload,
+            config,
+            ctx,
+            self.signature.hashed_track(self.hash_seed),
+            self.ff_ops,
+            self.threshold_rad,
+        );
         assert!(
             !interval_phases.is_empty(),
             "workload shorter than one stratification interval"
         );
-        let mut trace = *classify.trace();
-        trace.phase_changes = table.changes();
-        let mut mode_ops = classify.mode_ops();
-
         let num_strata = table.phases().len();
-        let mut occurrences: Vec<Vec<usize>> = vec![Vec::new(); num_strata];
-        for (i, &p) in interval_phases.iter().enumerate() {
-            occurrences[p].push(i);
-        }
+        let occurrences = occurrences(&interval_phases, num_strata);
 
         // Pass 2: the pilot — `pilot_per_stratum` samples per stratum,
         // spread evenly over its occurrences.
@@ -294,17 +238,12 @@ impl Technique for TwoPhaseStratified {
             .map(|occ| spread(occ, self.pilot_per_stratum))
             .collect();
         let mut run_pass = |points: Vec<usize>| -> Vec<(usize, f64)> {
-            let mut replay = SimDriver::new(workload, config, Track::None);
-            ctx.bind(&mut replay);
+            let mut replay = ctx.driver(workload, config, Track::None);
             let mut policy =
                 PointReplayPolicy::new(self.ff_ops, self.warm_ops, self.unit_ops, points);
             replay.run(&mut policy);
             trace.merge(replay.trace());
-            let pass_ops = replay.mode_ops();
-            mode_ops.fast_forward += pass_ops.fast_forward;
-            mode_ops.functional += pass_ops.functional;
-            mode_ops.detailed_warming += pass_ops.detailed_warming;
-            mode_ops.detailed_measured += pass_ops.detailed_measured;
+            mode_ops.merge(&replay.mode_ops());
             policy
                 .points
                 .iter()

@@ -138,6 +138,15 @@ impl ModeOps {
     pub fn detailed(&self) -> u64 {
         self.detailed_warming + self.detailed_measured
     }
+
+    /// Adds `other`'s counts mode by mode (for costs summed over several
+    /// passes or runs).
+    pub fn merge(&mut self, other: &ModeOps) {
+        self.fast_forward += other.fast_forward;
+        self.functional += other.functional;
+        self.detailed_warming += other.detailed_warming;
+        self.detailed_measured += other.detailed_measured;
+    }
 }
 
 /// The outcome of one [`Machine::run`] call.
@@ -1293,6 +1302,13 @@ mod tests {
         assert_eq!(ops.detailed(), 3500);
         assert_eq!(ops.total(), 6500);
         assert_eq!(m.retired(), 6500);
+
+        let mut twice = ops;
+        twice.merge(&ops);
+        assert_eq!(twice.fast_forward, 2000);
+        assert_eq!(twice.functional, 4000);
+        assert_eq!(twice.detailed_warming, 6000);
+        assert_eq!(twice.detailed_measured, 1000);
     }
 
     #[test]

@@ -311,7 +311,8 @@ mod tests {
         NoopSink.data_access(7); // default body: no-op
 
         let mut r = Counting::default();
-        (&mut r).data_access(1);
+        // Through the `&mut S` forwarding impl, not `Counting`'s own.
+        <&mut Counting as RetireSink>::data_access(&mut &mut r, 1);
         assert_eq!(r.accesses, vec![1]);
 
         let mut pair = (Counting::default(), Counting::default());

@@ -95,7 +95,7 @@ fn every_technique_is_bit_exact_under_checkpoint_acceleration() {
     let w = workload();
     let cfg = MachineConfig::default();
     for t in techniques() {
-        let plain = t.run_traced(&w, &cfg);
+        let plain = t.run_traced_ctx(&w, &cfg, &SimContext::none());
         let ladder = ladder_for(t.as_ref(), &w, &cfg, 500_000);
         let ctx = SimContext::with_ladder(Arc::clone(&ladder));
         let fast = t.run_traced_ctx(&w, &cfg, &ctx);
@@ -293,8 +293,7 @@ fn turbo_with_fresh_replays(
     ctx: &SimContext,
 ) -> (Estimate, RunTrace) {
     let s = t.smarts;
-    let mut length_pass = SimDriver::new(w, cfg, Track::None);
-    ctx.bind(&mut length_pass);
+    let mut length_pass = ctx.driver(w, cfg, Track::None);
     length_pass.execute(Segment::new(Mode::Functional, u64::MAX));
     let total = length_pass.retired();
     let mut trace = *length_pass.trace();
@@ -314,8 +313,7 @@ fn turbo_with_fresh_replays(
         let round = &order[issued..issued + want];
         let mut positions = round.to_vec();
         positions.sort_unstable();
-        let mut capture = SimDriver::new(w, cfg, Track::None);
-        ctx.bind(&mut capture);
+        let mut capture = ctx.driver(w, cfg, Track::None);
         for &i in &positions {
             let pos = i as u64 * s.period_ops;
             if pos > capture.retired() {
